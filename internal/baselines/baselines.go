@@ -19,6 +19,7 @@ import (
 	"math"
 	"sort"
 
+	"blackboxval/internal/core"
 	"blackboxval/internal/data"
 	"blackboxval/internal/frame"
 	"blackboxval/internal/linalg"
@@ -208,14 +209,14 @@ func categoryCounts(ref, srv []string) (refCounts, srvCounts []float64) {
 // dimension between the retained test outputs and the serving outputs,
 // Bonferroni-corrected across classes.
 type BBSE struct {
-	model       data.Model
-	testOutputs *linalg.Matrix
+	model data.Model
+	ref   [][]float64 // the retained test outputs' columns, sorted once
 }
 
 // NewBBSE builds the baseline from the model and its retained outputs on
 // the clean test set.
 func NewBBSE(model data.Model, testOutputs *linalg.Matrix) *BBSE {
-	return &BBSE{model: model, testOutputs: testOutputs}
+	return &BBSE{model: model, ref: core.SortedColumns(testOutputs)}
 }
 
 // Name implements Detector.
@@ -228,9 +229,10 @@ func (b *BBSE) Violation(serving *data.Dataset) bool {
 
 // ViolationFromProba applies the test to precomputed serving outputs.
 func (b *BBSE) ViolationFromProba(proba *linalg.Matrix) bool {
-	alpha := stats.BonferroniAlpha(Alpha, b.testOutputs.Cols)
-	for c := 0; c < b.testOutputs.Cols; c++ {
-		if stats.KolmogorovSmirnov(b.testOutputs.Col(c), proba.Col(c)).Rejected(alpha) {
+	alpha := stats.BonferroniAlpha(Alpha, len(b.ref))
+	cols := core.SortedColumns(proba)
+	for c, ref := range b.ref {
+		if stats.KolmogorovSmirnovSorted(ref, cols[c]).Rejected(alpha) {
 			return true
 		}
 	}

@@ -285,8 +285,9 @@ func Check(opts CheckOptions) (string, error) {
 		return "", err
 	}
 	proba := model.PredictProba(ds)
-	estimate := pred.EstimateFromProba(proba)
-	alarm := val.ViolationFromProba(proba)
+	cols := core.SortedColumns(proba)
+	estimate := pred.EstimateFromSorted(cols)
+	alarm := val.ViolationFromSorted(cols)
 	line := (1 - manifest.Threshold) * manifest.TestScore
 
 	var b strings.Builder

@@ -12,6 +12,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"blackboxval/internal/data"
 	"blackboxval/internal/linalg"
@@ -24,13 +25,38 @@ import (
 // non-parametric estimate of each output distribution. With the default
 // step of 5 this yields 21 features per class.
 func PredictionStatistics(proba *linalg.Matrix, step float64) []float64 {
+	return sortedStatistics(SortedColumns(proba), step)
+}
+
+// sortedStatistics is PredictionStatistics over a batch's SortedColumns.
+func sortedStatistics(cols [][]float64, step float64) []float64 {
 	grid := stats.PercentileGrid(step)
-	out := make([]float64, 0, len(grid)*proba.Cols)
-	for c := 0; c < proba.Cols; c++ {
-		col := proba.Col(c)
-		out = append(out, stats.Percentiles(col, grid)...)
+	out := make([]float64, 0, len(grid)*len(cols))
+	for _, col := range cols {
+		out = stats.PercentilesSorted(out, col, grid)
 	}
 	return out
+}
+
+// SortedColumns returns every class column of proba as an ascending copy:
+// the one sorted view of a batch from which the Algorithm 2 percentiles,
+// the validator's KS features and the monitor's drift statistics are all
+// read, so each column is sorted once however many of them a caller
+// computes. proba is left in row order — the drift timeline and the
+// reference sketches consume it that way.
+func SortedColumns(proba *linalg.Matrix) [][]float64 {
+	rows := proba.Rows
+	buf := make([]float64, rows*proba.Cols)
+	cols := make([][]float64, proba.Cols)
+	for c := range cols {
+		col := buf[c*rows : (c+1)*rows : (c+1)*rows]
+		for i := range col {
+			col[i] = proba.Data[i*proba.Cols+c]
+		}
+		sort.Float64s(col)
+		cols[c] = col
+	}
+	return cols
 }
 
 // SubsampleBatch draws a bootstrap sample (with replacement) of the test
@@ -80,15 +106,15 @@ func SubsampleBatch(test *data.Dataset, rng *rand.Rand) *data.Dataset {
 	return test.SelectRows(idx)
 }
 
-// ksFeatures computes, per class column, the Kolmogorov–Smirnov D
-// statistic and p-value between the model's outputs on the retained test
-// set and on the serving batch — the hypothesis-test features the
-// validator adds on top of the percentile features.
-func ksFeatures(testProba, servingProba *linalg.Matrix) []float64 {
-	out := make([]float64, 0, 2*testProba.Cols)
-	for c := 0; c < testProba.Cols; c++ {
-		res := stats.KolmogorovSmirnov(testProba.Col(c), servingProba.Col(c))
-		out = append(out, res.Statistic, res.PValue)
+// appendKSFeatures appends to f, per class column, the Kolmogorov–Smirnov
+// D statistic and p-value between the model's sorted outputs on the
+// retained test set (ref) and on the serving batch (cols) — the
+// hypothesis-test features the validator adds on top of the percentile
+// features.
+func appendKSFeatures(f []float64, ref, cols [][]float64) []float64 {
+	for c := range ref {
+		res := stats.KolmogorovSmirnovSorted(ref[c], cols[c])
+		f = append(f, res.Statistic, res.PValue)
 	}
-	return out
+	return f
 }

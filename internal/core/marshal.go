@@ -230,6 +230,7 @@ func (v *Validator) UnmarshalJSON(b []byte) error {
 	v.predictor = st.Predictor
 	v.testScore = st.TestScore
 	v.testOutputs = outputs
+	v.sortedRef = SortedColumns(outputs)
 	v.trainPos = st.TrainPos
 	v.trainTotal = st.TrainTotal
 	v.model = nil

@@ -211,7 +211,7 @@ func (s *validatorBatchSource) get(b int) validatorBatch {
 			rowsScored.Add(float64(batch.Len()))
 			proba := s.v.model.PredictProba(batch)
 			s.results[idx] = validatorBatch{
-				feats: s.v.features(proba),
+				feats: s.v.features(SortedColumns(proba)),
 				score: cfg.Score(proba, batch.Labels),
 				size:  batch.Len(),
 			}

@@ -344,7 +344,14 @@ func (p *Predictor) Estimate(serving *data.Dataset) float64 {
 // EstimateFromProba estimates the score directly from a matrix of model
 // outputs, for callers that already hold the predictions.
 func (p *Predictor) EstimateFromProba(proba *linalg.Matrix) float64 {
-	return p.EstimateFromFeatures(PredictionStatistics(proba, p.cfg.PercentileStep))
+	return p.EstimateFromSorted(SortedColumns(proba))
+}
+
+// EstimateFromSorted is EstimateFromProba over the batch's SortedColumns,
+// for callers that share one sorted view between the estimate and other
+// order statistics of the same batch.
+func (p *Predictor) EstimateFromSorted(cols [][]float64) float64 {
+	return p.EstimateFromFeatures(sortedStatistics(cols, p.cfg.PercentileStep))
 }
 
 // EstimateWithUncertainty returns the score estimate together with an

@@ -84,8 +84,13 @@ type Validator struct {
 	predictor   *Predictor // supplies the score-estimate feature
 	testScore   float64
 	testOutputs *linalg.Matrix
-	trainPos    int
-	trainTotal  int
+	// sortedRef is SortedColumns(testOutputs), built wherever testOutputs
+	// is set: the KS features test every batch against it without
+	// copying or re-sorting, and concurrent callers (training workers,
+	// the shadow tap) only read it.
+	sortedRef  [][]float64
+	trainPos   int
+	trainTotal int
 }
 
 // TrainValidator builds a performance validator for the given black box
@@ -131,6 +136,7 @@ func TrainValidatorCtx(ctx context.Context, model data.Model, test *data.Dataset
 	_, _, setupDone := stageSpan(ctx, "validator_setup")
 	refPart, batchPart := test.Split(0.5, jobRNG(cfg.Seed+20, streamValidatorSetup, 0))
 	v.testOutputs = model.PredictProba(refPart)
+	v.sortedRef = SortedColumns(v.testOutputs)
 	v.testScore = cfg.Score(model.PredictProba(test), test.Labels)
 	setupDone()
 
@@ -238,20 +244,21 @@ func scoreNoise(score float64, n int) float64 {
 	return math.Sqrt(p * (1 - p) / float64(n))
 }
 
-// features assembles the validator's feature vector for one batch of
-// model outputs: the regression predictor's score estimate together with
-// its margin over the alarm line, and (unless disabled) the
-// hypothesis-test statistics against the retained test outputs. The raw
-// output percentiles are deliberately NOT included: they encode "was the
-// batch corrupted at all", which correlates with — but is not — the
-// question "did the score drop more than t", and a classifier given both
-// signals overfits the former (corruption of a robust model often leaves
-// its accuracy intact).
-func (v *Validator) features(proba *linalg.Matrix) []float64 {
-	estimate := v.predictor.EstimateFromProba(proba)
-	f := []float64{estimate, estimate - (1-v.cfg.Threshold)*v.testScore}
+// features assembles the validator's feature vector for one batch, given
+// as its SortedColumns: the regression predictor's score estimate
+// together with its margin over the alarm line, and (unless disabled) the
+// per-class Kolmogorov–Smirnov D statistic and p-value between the
+// retained test outputs and the batch's. The raw output percentiles are
+// deliberately NOT included: they encode "was the batch corrupted at
+// all", which correlates with — but is not — the question "did the score
+// drop more than t", and a classifier given both signals overfits the
+// former (corruption of a robust model often leaves its accuracy intact).
+func (v *Validator) features(cols [][]float64) []float64 {
+	estimate := v.predictor.EstimateFromSorted(cols)
+	f := make([]float64, 2, 2+2*len(v.sortedRef))
+	f[0], f[1] = estimate, estimate-(1-v.cfg.Threshold)*v.testScore
 	if !v.cfg.DisableKSFeatures {
-		f = append(f, ksFeatures(v.testOutputs, proba)...)
+		f = appendKSFeatures(f, v.sortedRef, cols)
 	}
 	return f
 }
@@ -266,9 +273,14 @@ func (v *Validator) Violation(serving *data.Dataset) bool {
 // ViolationFromProba is Violation for callers already holding the model
 // outputs.
 func (v *Validator) ViolationFromProba(proba *linalg.Matrix) bool {
-	X := linalg.FromRows([][]float64{v.features(proba)})
-	out := v.clf.PredictProba(X)
-	return out.At(0, 1) >= 0.5
+	return v.ViolationFromSorted(SortedColumns(proba))
+}
+
+// ViolationFromSorted is ViolationFromProba over the batch's
+// SortedColumns, for callers that share one sorted view between the
+// validator and other order statistics of the same batch.
+func (v *Validator) ViolationFromSorted(cols [][]float64) bool {
+	return v.probability(cols) >= 0.5
 }
 
 // TestScore returns the clean-test reference score.
@@ -288,6 +300,12 @@ func (v *Validator) TrainBalance() (violations, total int) {
 // that the serving batch violates the threshold, for callers that want to
 // apply their own alarm cutoff or inspect calibration.
 func (v *Validator) ViolationProbability(proba *linalg.Matrix) float64 {
-	X := linalg.FromRows([][]float64{v.features(proba)})
+	return v.probability(SortedColumns(proba))
+}
+
+// probability is the classifier's violation probability for one batch
+// given as its SortedColumns.
+func (v *Validator) probability(cols [][]float64) float64 {
+	X := linalg.FromRows([][]float64{v.features(cols)})
 	return v.clf.PredictProba(X).At(0, 1)
 }

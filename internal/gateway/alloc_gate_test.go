@@ -5,11 +5,16 @@ package gateway
 // (canned-response backend, real monitor shadow tap — the same
 // protocol as the serving benchmark in internal/experiments) and fails
 // when the per-request allocation count blows past the budget. The
-// budget keeps ~4x headroom over the measured baseline (2000 fixed +
-// 10 per row vs a ~2.6/row baseline) so it never flakes on runtime or
-// stdlib drift, but catches the class of regression that matters: an
-// accidental per-row allocation on the hot path multiplies allocs/op
-// by the batch size and sails past the ceiling.
+// budget (1500 fixed + 1 per row, 2399 for the 899-row fixture) keeps
+// ~2.5x headroom over the measured 760-930 allocs/op so it does not
+// flake on runtime or stdlib drift, but catches the class of regression
+// that matters: an accidental per-row allocation on the hot path
+// multiplies allocs/op by the batch size and sails past the ceiling.
+//
+// allocs/op is process-wide: it includes the shadow worker's monitor
+// observations. The loop is closed, so a faster monitor drops fewer
+// batches from the shadow queue and observes more of them, which can
+// raise allocs/op even while bytes/op falls.
 
 import (
 	"bytes"
@@ -77,7 +82,7 @@ func TestServingAllocGate(t *testing.T) {
 	// Budget: a fixed overhead for the request machinery plus a per-row
 	// term covering JSON decode of the proxied batch (client + gateway +
 	// shadow tap combined; AllocsPerOp counts process-wide mallocs).
-	limit := int64(2000 + 10*rows)
+	limit := int64(1500 + rows)
 	t.Logf("serving hot path: %d allocs/op over %d rows (%.2f/row), %d B/op, %.3fms/op, gate %d allocs/op",
 		br.AllocsPerOp(), rows, float64(br.AllocsPerOp())/float64(rows),
 		br.AllocedBytesPerOp(), float64(br.NsPerOp())/1e6, limit)

@@ -90,10 +90,15 @@ func TestEndToEndTraceStitch(t *testing.T) {
 		t.Fatalf("echoed trace id %s, sent %s", echoed.TraceID, tc.TraceID)
 	}
 
-	// Wait for the shadow tap to feed the monitor, then flush all
-	// three journals like a process shutdown would.
+	// Wait until every journal holds its root span, then flush all three
+	// like a process shutdown would. The monitor's count alone is not
+	// enough: it ticks when the record commits, before the
+	// monitor_observe span ends and is journaled.
+	journaled := func() bool {
+		return bj.Appended() >= 1 && mj.Appended() >= 1 && gj.Appended() >= 1
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for mon.Observed() < 1 && time.Now().Before(deadline) {
+	for !journaled() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if mon.Observed() < 1 {

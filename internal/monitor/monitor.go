@@ -138,10 +138,11 @@ type Monitor struct {
 	// engine) may call back into the monitor.
 	timeline *obs.TimeSeries
 	// refCols / refP50 are the per-class reference distributions (held-out
-	// test outputs) that serving batches drift against. refSketches are
-	// the same distributions as mergeable sketches — the static half of
-	// the drift-test sufficient statistics /federate ships, so a fleet
-	// aggregator can recompute KS against merged serving distributions.
+	// test outputs, sorted once here) that serving batches drift against.
+	// refSketches are the same distributions as mergeable sketches — the
+	// static half of the drift-test sufficient statistics /federate ships,
+	// so a fleet aggregator can recompute KS against merged serving
+	// distributions.
 	refCols     [][]float64
 	refP50      []float64
 	refSketches map[string]*stats.KLL
@@ -185,15 +186,14 @@ func New(cfg Config) (*Monitor, error) {
 		timeline: timeline,
 	}
 	if ref := cfg.Predictor.TestOutputs(); ref != nil && ref.Rows > 0 {
-		m.refCols = make([][]float64, ref.Cols)
+		m.refCols = core.SortedColumns(ref)
 		m.refP50 = make([]float64, ref.Cols)
 		m.refSketches = make(map[string]*stats.KLL, ref.Cols)
 		for c := 0; c < ref.Cols; c++ {
-			m.refCols[c] = ref.Col(c)
-			m.refP50[c] = stats.Percentile(m.refCols[c], 50)
+			m.refP50[c] = stats.PercentileSorted(m.refCols[c], 50)
 			sk := stats.NewKLL()
-			for _, v := range m.refCols[c] {
-				sk.Add(v)
+			for i := 0; i < ref.Rows; i++ {
+				sk.Add(ref.At(i, c)) // row order, like the serving proba_class series
 			}
 			m.refSketches[probaSeries(c)] = sk
 		}
@@ -281,7 +281,10 @@ func (m *Monitor) ObserveBatchProbaCtx(ctx context.Context, batch *data.Dataset,
 }
 
 func (m *Monitor) observeBatchProba(batch *data.Dataset, proba *linalg.Matrix, requestID, traceID string) Record {
-	estimate := m.cfg.Predictor.EstimateFromProba(proba)
+	// One sorted view serves every order statistic below; proba itself
+	// stays in row order for the observers and the timeline.
+	cols := core.SortedColumns(proba)
+	estimate := m.cfg.Predictor.EstimateFromSorted(cols)
 	rec := Record{
 		Size:              proba.Rows,
 		Estimate:          estimate,
@@ -291,32 +294,31 @@ func (m *Monitor) observeBatchProba(batch *data.Dataset, proba *linalg.Matrix, r
 		Window:            m.timeline.OpenIndex(),
 	}
 	if m.cfg.Validator != nil {
-		rec.ValidatorViolation = m.cfg.Validator.ViolationFromProba(proba)
+		rec.ValidatorViolation = m.cfg.Validator.ViolationFromSorted(cols)
 	}
 	rec.Violating = rec.EstimateViolation || rec.ValidatorViolation
-	m.drift(&rec, proba)
+	m.drift(&rec, cols)
 	m.commitState(&rec)
 	m.notifyObservers(batch, proba, rec)
 	m.feedTimeline(&rec, proba)
 	return rec
 }
 
-// drift fills the per-class distribution-shift statistics: the
-// two-sample KS D between each serving output column and the held-out
-// test outputs, and the shift of the column median. Skipped when the
-// predictor kept no test outputs or the batch's class count disagrees
-// with the reference (a misconfigured backend should not panic the
-// monitor).
-func (m *Monitor) drift(rec *Record, proba *linalg.Matrix) {
-	if m.refCols == nil || proba.Cols != len(m.refCols) || proba.Rows == 0 {
+// drift fills the per-class distribution-shift statistics from the
+// batch's sorted columns: the two-sample KS D between each serving output
+// column and the held-out test outputs, and the shift of the column
+// median. Skipped when the predictor kept no test outputs or the batch's
+// class count disagrees with the reference (a misconfigured backend
+// should not panic the monitor).
+func (m *Monitor) drift(rec *Record, cols [][]float64) {
+	if m.refCols == nil || len(cols) != len(m.refCols) || rec.Size == 0 {
 		return
 	}
-	rec.KS = make([]float64, proba.Cols)
-	rec.P50Shift = make([]float64, proba.Cols)
-	for c := 0; c < proba.Cols; c++ {
-		col := proba.Col(c)
-		rec.KS[c] = stats.KolmogorovSmirnov(col, m.refCols[c]).Statistic
-		rec.P50Shift[c] = stats.Percentile(col, 50) - m.refP50[c]
+	rec.KS = make([]float64, len(cols))
+	rec.P50Shift = make([]float64, len(cols))
+	for c, col := range cols {
+		rec.KS[c] = stats.KolmogorovSmirnovSorted(col, m.refCols[c]).Statistic
+		rec.P50Shift[c] = stats.PercentileSorted(col, 50) - m.refP50[c]
 		if rec.KS[c] > rec.KSMax {
 			rec.KSMax = rec.KS[c]
 		}

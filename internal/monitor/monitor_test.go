@@ -240,7 +240,9 @@ func TestObserveRowDetectsCorruptedStream(t *testing.T) {
 
 func TestConcurrentObserve(t *testing.T) {
 	f := getFixture(t)
-	m, err := New(Config{Predictor: f.pred})
+	// With the validator attached, every goroutine also reads its sorted
+	// KS reference, as the shadow tap and the replay do.
+	m, err := New(Config{Predictor: f.pred, Validator: f.val})
 	if err != nil {
 		t.Fatal(err)
 	}

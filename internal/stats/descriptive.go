@@ -5,10 +5,7 @@
 // and by the REL/BBSE/BBSEh baselines), and classification metrics.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -43,15 +40,15 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It panics on empty input.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: percentile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sortedCopy(xs), p)
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted is Percentile for a sample already in ascending
+// order; it neither copies nor sorts. It panics on empty input.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		panic("stats: percentile of empty slice")
+	}
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -68,19 +65,23 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Percentiles returns the requested percentiles of xs, sorting xs only
-// once. It panics on empty input.
+// Percentiles returns the requested percentiles of xs, sorting a copy of
+// xs once. It panics on empty input.
 func Percentiles(xs []float64, ps []float64) []float64 {
-	if len(xs) == 0 {
+	return PercentilesSorted(make([]float64, 0, len(ps)), sortedCopy(xs), ps)
+}
+
+// PercentilesSorted appends the requested percentiles of a sample already
+// in ascending order to dst and returns the extended slice; it neither
+// copies nor sorts the sample. It panics on empty input.
+func PercentilesSorted(dst, sorted, ps []float64) []float64 {
+	if len(sorted) == 0 {
 		panic("stats: percentiles of empty slice")
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+	for _, p := range ps {
+		dst = append(dst, PercentileSorted(sorted, p))
 	}
-	return out
+	return dst
 }
 
 // PercentileGrid returns 0, step, 2*step, ..., 100. The paper's output
@@ -89,7 +90,7 @@ func PercentileGrid(step float64) []float64 {
 	if step <= 0 || step > 100 {
 		panic("stats: invalid percentile step")
 	}
-	var ps []float64
+	ps := make([]float64, 0, int(100/step)+2)
 	for p := 0.0; p < 100; p += step {
 		ps = append(ps, p)
 	}

@@ -113,9 +113,7 @@ func (e *P2Quantile) Value() float64 {
 		return 0
 	}
 	if e.count < 5 {
-		sorted := append([]float64(nil), e.initial...)
-		sort.Float64s(sorted)
-		return percentileSorted(sorted, e.p*100)
+		return Percentile(e.initial, e.p*100)
 	}
 	return e.q[2]
 }

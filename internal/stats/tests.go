@@ -18,20 +18,32 @@ func (t TestResult) Rejected(alpha float64) bool { return t.PValue < alpha }
 // KolmogorovSmirnov performs a two-sample Kolmogorov–Smirnov test between
 // samples a and b and returns the D statistic together with the asymptotic
 // p-value. Used on model softmax outputs by the performance validator and
-// the BBSE baseline, and on raw numeric columns by the REL baseline.
+// the BBSE baseline, and on raw numeric columns by the REL baseline. It
+// sorts copies of both samples; callers holding sorted samples use
+// KolmogorovSmirnovSorted.
 func KolmogorovSmirnov(a, b []float64) TestResult {
-	n, m := len(a), len(b)
+	return KolmogorovSmirnovSorted(sortedCopy(a), sortedCopy(b))
+}
+
+// KolmogorovSmirnovSorted is KolmogorovSmirnov for samples already in the
+// ascending order sort.Float64s leaves them in (NaNs first). It neither
+// copies nor sorts, so a reference sample sorted once can be tested
+// against many serving batches. A sample holding a NaN has an empirical
+// CDF that never rises, so D is 1.
+func KolmogorovSmirnovSorted(as, bs []float64) TestResult {
+	n, m := len(as), len(bs)
 	if n == 0 || m == 0 {
 		return TestResult{Statistic: 0, PValue: 1}
 	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
 
 	d := 0.0
+	if math.IsNaN(as[0]) || math.IsNaN(bs[0]) {
+		// NaNs sort first and compare <= nothing, so the merge below
+		// would never step past them.
+		d = 1
+	}
 	i, j := 0, 0
-	for i < n && j < m {
+	for d < 1 && i < n && j < m {
 		v := as[i]
 		if bs[j] < v {
 			v = bs[j]
@@ -49,6 +61,13 @@ func KolmogorovSmirnov(a, b []float64) TestResult {
 	}
 	en := math.Sqrt(float64(n) * float64(m) / float64(n+m))
 	return TestResult{Statistic: d, PValue: ksPValue((en + 0.12 + 0.11/en) * d)}
+}
+
+// sortedCopy returns an ascending copy of xs, leaving xs untouched.
+func sortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
 }
 
 // ksPValue evaluates the Kolmogorov distribution tail
