@@ -22,14 +22,19 @@ lint:
 	# registry that serves a /metrics endpoint.
 	$(GO) test -run 'Lint|Conformance' ./internal/obs/... ./internal/gateway/... ./internal/monitor/... ./internal/fed/...
 
+# The benchmark (bench/) is its own module that compiles against this
+# one's internal APIs, so vet and test cover it too: a deleted or
+# renamed API it uses fails here, not in a benchmark run.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+	$(GO) -C bench test ./...
 
 race:
 	$(GO) test -short -race ./internal/core/... ./internal/models/... ./internal/gateway/... ./internal/monitor/... ./internal/obs/... ./internal/stats/... ./internal/fed/... ./internal/labels/...
@@ -91,9 +96,10 @@ audit: lint
 # invariants — sketch merge (associativity/commutativity vs the union
 # stream) and the serialized round-trips — plus the attacker-facing
 # wire decoders: the /labels ingestion body, the W3C traceparent
-# header parser (every proxied request runs it), and the on-disk
-# segment decoder (which must keep the valid prefix of any torn or
-# corrupted segment file without panicking).
+# header parser (every proxied request runs it), the on-disk segment
+# decoder (which must keep the valid prefix of any torn or corrupted
+# segment file without panicking), and the aggregator's bounded
+# decoder of a remote replica's /federate body.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzKLLRoundTrip -fuzztime 10s ./internal/stats
@@ -101,3 +107,4 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzLabelsDecode -fuzztime 10s ./internal/labels
 	$(GO) test -run NONE -fuzz FuzzTraceparentParse -fuzztime 10s ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/obs/tsdb
+	$(GO) test -run NONE -fuzz FuzzFederateDecode -fuzztime 10s ./internal/fed

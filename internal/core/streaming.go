@@ -8,14 +8,17 @@ import (
 
 // StreamAccumulator builds the percentile features of Algorithm 2 from a
 // stream of individual model outputs, without buffering the batch: each
-// class column is tracked by a P² online quantile digest, so memory is
-// O(classes x grid) regardless of how many predictions flow through.
-// This serves deployments where the serving system logs one prediction at
-// a time and batching is impractical.
+// class column is tracked by a stats.KLL sketch — the same deterministic
+// sketch behind the drift timeline and fleet federation — so memory is
+// bounded by the sketch's bucket grid regardless of how many predictions
+// flow through. This serves deployments where the serving system logs
+// one prediction at a time and batching is impractical.
 type StreamAccumulator struct {
-	classes int
-	step    float64
-	digests []*stats.P2Digest
+	classes  int
+	step     float64
+	grid     []float64
+	sketches []stats.KLL
+	rows     int // KLL.Count skips NaN inputs; this counts every row
 }
 
 // NewStreamAccumulator returns an accumulator for the given class count
@@ -27,12 +30,12 @@ func NewStreamAccumulator(classes int, percentileStep float64) *StreamAccumulato
 	if percentileStep == 0 {
 		percentileStep = 5
 	}
-	a := &StreamAccumulator{classes: classes, step: percentileStep}
-	grid := stats.PercentileGrid(percentileStep)
-	for c := 0; c < classes; c++ {
-		a.digests = append(a.digests, stats.NewP2Digest(grid))
+	return &StreamAccumulator{
+		classes:  classes,
+		step:     percentileStep,
+		grid:     stats.PercentileGrid(percentileStep),
+		sketches: make([]stats.KLL, classes),
 	}
-	return a
 }
 
 // Add consumes one model output (a probability row of length classes).
@@ -41,34 +44,30 @@ func (a *StreamAccumulator) Add(probaRow []float64) {
 		panic(fmt.Sprintf("core: output row has %d classes, accumulator expects %d", len(probaRow), a.classes))
 	}
 	for c, v := range probaRow {
-		a.digests[c].Add(v)
+		a.sketches[c].Add(v)
 	}
+	a.rows++
 }
 
 // Count returns the number of predictions consumed.
-func (a *StreamAccumulator) Count() int {
-	if len(a.digests) == 0 {
-		return 0
-	}
-	return a.digests[0].Count()
-}
+func (a *StreamAccumulator) Count() int { return a.rows }
 
 // Features returns the current percentile feature vector, compatible with
 // PredictionStatistics over the same outputs.
 func (a *StreamAccumulator) Features() []float64 {
-	out := make([]float64, 0, a.classes*len(stats.PercentileGrid(a.step)))
-	for _, d := range a.digests {
-		out = append(out, d.Values()...)
+	out := make([]float64, 0, a.classes*len(a.grid))
+	for c := range a.sketches {
+		for _, p := range a.grid {
+			out = append(out, a.sketches[c].Quantile(p/100))
+		}
 	}
 	return out
 }
 
 // Reset clears the accumulator for the next window.
 func (a *StreamAccumulator) Reset() {
-	grid := stats.PercentileGrid(a.step)
-	for c := range a.digests {
-		a.digests[c] = stats.NewP2Digest(grid)
-	}
+	clear(a.sketches)
+	a.rows = 0
 }
 
 // PercentileStep returns the configured grid step.

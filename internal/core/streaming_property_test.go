@@ -1,10 +1,10 @@
 package core
 
 // Property and fuzz tests for the streaming featurizer: a
-// StreamAccumulator (P² digests per class) fed any probability stream
+// StreamAccumulator (one KLL sketch per class) fed any probability stream
 // must produce percentile features close to the exact batch featurizer
 // PredictionStatistics over the same outputs, with exact agreement at
-// the 0th/100th percentiles (the digest tracks min/max exactly).
+// the 0th/100th percentiles (the sketch tracks min/max exactly).
 
 import (
 	"math"
@@ -14,7 +14,7 @@ import (
 )
 
 // streamDistributions are the probability-stream shapes the property test
-// sweeps: P² accuracy depends on the distribution, so one uniform check
+// sweeps: sketch accuracy depends on the distribution, so one uniform check
 // (as in TestStreamAccumulatorMatchesBatchFeatures) is not enough.
 var streamDistributions = []struct {
 	name string
@@ -65,8 +65,9 @@ func massBetween(xs []float64, a, b float64) float64 {
 // checks every percentile feature against the exact featurizer: the
 // estimate must either be within valueTol of the exact order statistic,
 // or be separated from it by at most rankTol probability mass (the
-// correct criterion at CDF jumps, where P² legitimately returns a
-// mid-gap value).
+// correct criterion at CDF jumps, where the exact featurizer
+// interpolates a mid-gap value and the sketch returns an order
+// statistic beside the gap).
 func checkStreamVsExact(t *testing.T, ps []float64, step, valueTol, rankTol float64) {
 	t.Helper()
 	n := len(ps)
@@ -122,10 +123,9 @@ func TestStreamAccumulatorPropertyRandomStreams(t *testing.T) {
 						ps[i] = dist.draw(rng)
 					}
 					// The value bound tightens with stream length; the mass
-					// bound does not, because on near-atomic distributions a
-					// P² marker can park inside a CDF gap with a persistent
-					// ~0.1 rank bias that more data never repairs (measured
-					// on the confident/bimodal streams here).
+					// bound does not, because on the near-atomic
+					// confident/bimodal streams estimate and exact value can
+					// sit on opposite sides of a CDF gap at any length.
 					valueTol, rankTol := 0.05, 0.12
 					if n >= 2000 {
 						valueTol = 0.03
@@ -147,7 +147,7 @@ func TestStreamAccumulatorPropertyCoarseGrid(t *testing.T) {
 }
 
 // FuzzStreamAccumulator lets the fuzzer hunt for probability streams
-// where the online digest drifts from the exact featurizer or violates
+// where the streaming sketch drifts from the exact featurizer or violates
 // its structural invariants (monotonicity, exact extremes).
 func FuzzStreamAccumulator(f *testing.F) {
 	f.Add([]byte{0, 255, 128, 64, 32, 200, 17, 90})
@@ -167,7 +167,7 @@ func FuzzStreamAccumulator(f *testing.F) {
 		}
 		// Byte streams are adversarial (heavy atoms, tiny support): check
 		// only the structural invariants on short streams, and generous
-		// closeness/rank bounds once the digests have warmed up.
+		// closeness/rank bounds on longer streams.
 		valueTol, rankTol := -1.0, -1.0
 		if len(ps) >= 128 {
 			valueTol, rankTol = 0.1, 0.1

@@ -38,6 +38,34 @@ func TestStreamAccumulatorMatchesBatchFeatures(t *testing.T) {
 	}
 }
 
+// TestStreamAccumulatorMonitorWindowError pins the streaming featurizer
+// to the exact percentiles h was trained on at the monitor's default
+// 500-row window, on skewed outputs (p = u³) where an online estimator
+// lags most: every feature of every seed within 0.01.
+func TestStreamAccumulatorMonitorWindowError(t *testing.T) {
+	const n, tol = 500, 0.01
+	worst := 0.0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		proba := linalg.NewMatrix(n, 2)
+		acc := NewStreamAccumulator(2, 5)
+		for i := 0; i < n; i++ {
+			u := rng.Float64()
+			p := u * u * u
+			proba.Set(i, 0, p)
+			proba.Set(i, 1, 1-p)
+			acc.Add(proba.Row(i))
+		}
+		exact := PredictionStatistics(proba, 5)
+		for i, v := range acc.Features() {
+			worst = math.Max(worst, math.Abs(v-exact[i]))
+		}
+	}
+	if worst > tol {
+		t.Fatalf("max |stream - exact| feature error %.4f over 20 seeds, want <= %v", worst, tol)
+	}
+}
+
 func TestStreamAccumulatorReset(t *testing.T) {
 	acc := NewStreamAccumulator(2, 25)
 	acc.Add([]float64{0.7, 0.3})

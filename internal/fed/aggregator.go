@@ -216,8 +216,24 @@ func (a *Aggregator) fetch(ctx context.Context, url string) (*Doc, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
 		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
+	return decodeFederate(resp.Body)
+}
+
+// maxFederateBytes bounds one replica's /federate body, matching the
+// tsdb's bound on one decoded window record. A 128-window document of
+// 200-row batches measures ~0.76 MiB.
+const maxFederateBytes = 64 << 20
+
+// decodeFederate decodes one replica's /federate body. A body over
+// maxFederateBytes fails like any other scrape failure: the shard goes
+// stale and no data is fabricated.
+func decodeFederate(r io.Reader) (*Doc, error) {
+	lr := &io.LimitedReader{R: r, N: maxFederateBytes}
 	var doc Doc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.NewDecoder(lr).Decode(&doc); err != nil {
+		if lr.N == 0 {
+			return nil, fmt.Errorf("federate body exceeds %d bytes", maxFederateBytes)
+		}
 		return nil, err
 	}
 	if doc.Version != DocVersion {

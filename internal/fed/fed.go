@@ -17,7 +17,6 @@
 package fed
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"blackboxval/internal/monitor"
@@ -96,8 +95,7 @@ func ReplicaHandler(mon *monitor.Monitor, replica string) http.Handler {
 // ppm-monitor) omits the section.
 func ReplicaHandlerServing(mon *monitor.Monitor, replica string, serving func() *ServingDoc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		if !obs.RequireGet(w, r) {
 			return
 		}
 		// Join the aggregator's sampled scrape trace: the federate_serve
@@ -113,11 +111,7 @@ func ReplicaHandlerServing(mon *monitor.Monitor, replica string, serving func() 
 		if serving != nil {
 			doc.Serving = serving()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
-		if err := json.NewEncoder(w).Encode(doc); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		obs.WriteJSON(w, doc)
 	})
 }
 

@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -561,6 +563,85 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestDashboardIsTheMonitorPage: the aggregator serves the replica's
+// dashboard page, differing only in its title and heading.
+func TestDashboardIsTheMonitorPage(t *testing.T) {
+	replica := httptest.NewServer(newMonitor(t, getFixture(t), 1).Handler())
+	defer replica.Close()
+	fleet := httptest.NewServer(newAggregator(t, []string{replica.URL}, nil).Handler())
+	defer fleet.Close()
+	page := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url + "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/: %d", url, resp.StatusCode)
+		}
+		return string(body)
+	}
+	swapped := strings.NewReplacer(
+		"<title>ppm fleet timeline</title>", "<title>ppm drift timeline</title>",
+		"<h1>Fleet drift timeline</h1>", "<h1>Performance-predictor drift timeline</h1>",
+	).Replace(page(fleet.URL))
+	if want := page(replica.URL); swapped != want {
+		t.Fatalf("fleet page differs from the replica page beyond title and heading (%d vs %d bytes)", len(swapped), len(want))
+	}
+}
+
+// TestFleetTimelineLimitContract is the aggregator-side twin of the
+// monitor's TestLimitValidationContract: /timeline?limit= on the fleet
+// 400s on junk and keeps the most recent N merged windows.
+func TestFleetTimelineLimitContract(t *testing.T) {
+	ts, _ := obs.NewTimeSeries(obs.TimeSeriesConfig{WindowBatches: 1})
+	for i := 0; i < 3; i++ {
+		ts.Record("estimate", 0.9)
+		ts.Commit()
+	}
+	fr := &fakeReplica{}
+	fr.set(tsDoc(ts, "a"))
+	replica := httptest.NewServer(fr.handler())
+	defer replica.Close()
+	agg := newAggregator(t, []string{replica.URL}, nil)
+	agg.ScrapeOnce(context.Background())
+	srv := httptest.NewServer(agg.Handler())
+	defer srv.Close()
+
+	for _, bad := range []string{"?limit=abc", "?limit=-1", "?limit=1.5", "?limit=%20"} {
+		resp, err := http.Get(srv.URL + "/timeline" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/timeline%s status = %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	for limit, want := range map[string]int{"": 3, "?limit=1": 1, "?limit=0": 0, "?limit=9999": 3} {
+		resp, err := http.Get(srv.URL + "/timeline" + limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc monitor.TimelineDoc
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/timeline%s: status %d, %v", limit, resp.StatusCode, err)
+		}
+		if len(doc.Windows) != want {
+			t.Errorf("/timeline%s returned %d windows, want %d", limit, len(doc.Windows), want)
+		} else if want > 0 && doc.Windows[want-1].Index != 2 {
+			t.Errorf("/timeline%s newest window %d, want 2", limit, doc.Windows[want-1].Index)
+		}
+	}
+}
+
 // TestFleetIncidentCapture exercises the capture ring: firing events
 // write artifacts, resolutions and cooldown-window repeats do not, and
 // the ring prunes oldest-first.
@@ -619,6 +700,39 @@ func TestFleetIncidentCapture(t *testing.T) {
 	}
 	if len(incidents) != 2 {
 		t.Fatalf("prune kept %d, want 2", len(incidents))
+	}
+}
+
+// TestFleetIncidentsSkipTornFile: a file torn by a crash mid-write sits
+// beside a good capture; listing skips it instead of failing the whole
+// directory.
+func TestFleetIncidentsSkipTornFile(t *testing.T) {
+	ts, _ := obs.NewTimeSeries(obs.TimeSeriesConfig{WindowBatches: 1})
+	ts.Record("estimate", 0.2)
+	ts.Commit()
+	fr := &fakeReplica{}
+	fr.set(tsDoc(ts, "a"))
+	srv := httptest.NewServer(fr.handler())
+	defer srv.Close()
+	agg := newAggregator(t, []string{srv.URL}, nil)
+	agg.ScrapeOnce(context.Background())
+
+	dir := t.TempDir()
+	capture, err := fed.NewCapture(agg, fed.CaptureConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture.Notifier().Notify(alert.Event{Rule: "estimate_low", State: "firing", WindowIndex: 1})
+	torn := filepath.Join(dir, "fleet-99991231T235959-999.json")
+	if err := os.WriteFile(torn, []byte(`{"id":"fleet-99991231T235959-999","at":"20`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	incidents, err := capture.Incidents()
+	if err != nil {
+		t.Fatalf("a torn file failed the listing: %v", err)
+	}
+	if len(incidents) != 1 || incidents[0].Event.Rule != "estimate_low" {
+		t.Fatalf("incidents = %+v, want the one good capture", incidents)
 	}
 }
 

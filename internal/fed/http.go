@@ -2,7 +2,8 @@ package fed
 
 // The aggregator's HTTP surface, mounted by cmd/ppm-aggregate:
 //
-//	GET /          fleet dashboard (merged estimate sparkline + shard table)
+//	GET /          fleet dashboard: the monitor's page under the fleet's
+//	               title, with the shard table the replica page hides
 //	GET /timeline  merged fleet timeline, same document shape as a
 //	               replica's /timeline so existing tooling points at either
 //	GET /federate  fleet re-export of the merged view (aggregators compose)
@@ -16,10 +17,8 @@ package fed
 // shared obs registry) so the fed package needs no exposition logic.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
@@ -52,44 +51,15 @@ func (a *Aggregator) TimelineDoc() monitor.TimelineDoc {
 // Handler serves the aggregator's HTTP surface.
 func (a *Aggregator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		if !guardGet(w, r) {
-			return
-		}
-		setHeaders(w, "text/html; charset=utf-8")
-		fmt.Fprint(w, fleetDashboardHTML)
-	})
-	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
-		if !guardGet(w, r) {
-			return
-		}
-		doc := a.TimelineDoc()
-		// The shared ?limit= contract (monitor /timeline, /debug/spans):
-		// non-numeric or negative is a 400, never a silent default.
-		if raw := r.URL.Query().Get("limit"); raw != "" {
-			limit, err := strconv.Atoi(raw)
-			if err != nil || limit < 0 {
-				http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			if limit < len(doc.Windows) {
-				doc.Windows = doc.Windows[len(doc.Windows)-limit:]
-			}
-		}
-		writeJSON(w, doc)
-	})
+	mux.Handle("/", monitor.DashboardHandler("ppm fleet timeline", "Fleet drift timeline"))
+	mux.Handle("/timeline", monitor.TimelineHandler(a.TimelineDoc))
 	mux.HandleFunc("/federate", func(w http.ResponseWriter, r *http.Request) {
-		if !guardGet(w, r) {
-			return
+		if obs.RequireGet(w, r) {
+			obs.WriteJSON(w, a.FleetDoc())
 		}
-		writeJSON(w, a.FleetDoc())
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		if !guardGet(w, r) {
+		if !obs.RequireGet(w, r) {
 			return
 		}
 		serving := a.FleetServing()
@@ -97,19 +67,18 @@ func (a *Aggregator) Handler() http.Handler {
 			http.Error(w, "no serving state federated yet", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, serving.View(5))
+		obs.WriteJSON(w, serving.View(5))
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		if !guardGet(w, r) {
-			return
+		if obs.RequireGet(w, r) {
+			obs.WriteJSON(w, a.Status())
 		}
-		writeJSON(w, a.Status())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !guardGet(w, r) {
+		if !obs.RequireGet(w, r) {
 			return
 		}
-		setHeaders(w, "text/plain; charset=utf-8")
+		obs.SetNoStore(w, "text/plain; charset=utf-8")
 		if a.Alarming() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, "alarming")
@@ -119,253 +88,3 @@ func (a *Aggregator) Handler() http.Handler {
 	})
 	return mux
 }
-
-func guardGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return false
-	}
-	return true
-}
-
-func setHeaders(w http.ResponseWriter, contentType string) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Cache-Control", "no-store")
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	setHeaders(w, "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// fleetDashboardHTML mirrors the replica dashboard's dependency-free
-// style: one page, inline script, polling /timeline for the merged
-// drift trace and /status for shard health.
-const fleetDashboardHTML = `<!doctype html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>ppm fleet timeline</title>
-<style>
-  body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem; color: #222; }
-  h1 { font-size: 1.2rem; }
-  .status { margin: .5rem 0 1rem; }
-  .badge { padding: .15rem .5rem; border-radius: .25rem; color: #fff; }
-  .ok { background: #2a7d2a; }
-  .alarm { background: #b02a2a; }
-  .stale { background: #b07a2a; }
-  svg { border: 1px solid #ddd; background: #fafafa; }
-  table { border-collapse: collapse; margin-top: 1rem; }
-  th, td { border: 1px solid #ccc; padding: .25rem .6rem; text-align: right; }
-  th { background: #f0f0f0; }
-  td.bad { background: #f6d5d5; }
-  td.name { text-align: left; }
-  .meta { color: #666; font-size: .85rem; }
-  button { font: inherit; padding: .1rem .5rem; }
-</style>
-</head>
-<body>
-<h1>Fleet drift timeline</h1>
-<div class="status">
-  state: <span id="state" class="badge ok">loading…</span>
-  <span id="stale" class="badge stale" style="display:none"></span>
-  <span id="gaps" class="badge stale" style="display:none"></span>
-  <span class="meta" id="meta"></span>
-</div>
-<svg id="chart" width="720" height="160" viewBox="0 0 720 160"></svg>
-<h2 style="font-size:1rem">Shards</h2>
-<table>
-  <thead><tr><th>replica</th><th>observed</th><th>max window</th><th>fails</th><th>state</th></tr></thead>
-  <tbody id="shards"></tbody>
-</table>
-<h2 style="font-size:1rem">Merged windows</h2>
-<table>
-  <thead><tr><th>window</th><th>batches</th><th>estimate</th><th>fleet ks_max</th><th>stale shards</th></tr></thead>
-  <tbody id="rows"></tbody>
-</table>
-<div id="slo" style="display:none">
-<h2 style="font-size:1rem">Serving latency (fleet-merged)</h2>
-<div class="meta" id="slometa"></div>
-<table>
-  <thead><tr><th>stage</th><th>count</th><th>p50</th><th>p99</th><th>p999</th><th>max</th></tr></thead>
-  <tbody id="slorows"></tbody>
-</table>
-<div class="meta" id="sloex"></div>
-</div>
-<div id="hist" style="display:none">
-<h2 style="font-size:1rem">Durable history</h2>
-<div class="meta">
-  <button id="older">&laquo; older</button>
-  <button id="newer">newer &raquo;</button>
-  <span id="histmeta"></span>
-</div>
-<svg id="histchart" width="720" height="160" viewBox="0 0 720 160"></svg>
-</div>
-<script>
-"use strict";
-// line breaks its path wherever a point follows a gap, so the
-// sparkline never strokes across missing windows.
-function line(points, color) {
-  if (!points.length) return "";
-  var d = points.map(function (p, i) { return (i && !p.gap ? "L" : "M") + p.x.toFixed(1) + " " + p.y.toFixed(1); }).join(" ");
-  return '<path d="' + d + '" fill="none" stroke="' + color + '" stroke-width="1.5"/>';
-}
-function seriesMean(w, name) {
-  var a = w.series && w.series[name];
-  return a && a.count ? a.sum / a.count : null;
-}
-// drawDrift renders a gap-aware fleet drift chart: x is proportional
-// to window index, missing index ranges are shaded and break the
-// series lines. spans is null for the live ring or the
-// /timeline/range spans array for compacted history. Returns the
-// number of missing window indices.
-function drawDrift(el, windows, spans, alarmLine) {
-  var W = 720, H = 160, pad = 8;
-  var alarmY = H - pad - Math.max(0, Math.min(1, alarmLine)) * (H - 2 * pad);
-  if (!windows.length) {
-    el.innerHTML = '<line x1="0" x2="' + W + '" y1="' + alarmY + '" y2="' + alarmY + '" stroke="#b02a2a" stroke-dasharray="4 3"/>';
-    return 0;
-  }
-  var spanOf = function (i) { return spans && spans[i] > 1 ? spans[i] : 1; };
-  var first = windows[0].index;
-  var last = windows[windows.length - 1].index + spanOf(windows.length - 1) - 1;
-  var range = Math.max(1, last - first);
-  var xs = function (idx) { return last === first ? W / 2 : pad + (idx - first) * (W - 2 * pad) / range; };
-  var ys = function (v) { return H - pad - Math.max(0, Math.min(1, v)) * (H - 2 * pad); };
-  var est = [], ks = [], gapRects = "", missing = 0, prevEnd = null;
-  windows.forEach(function (w, i) {
-    var gap = prevEnd !== null && w.index > prevEnd + 1;
-    if (gap) {
-      missing += w.index - prevEnd - 1;
-      gapRects += '<rect x="' + xs(prevEnd).toFixed(1) + '" y="0" width="' +
-        (xs(w.index) - xs(prevEnd)).toFixed(1) + '" height="' + H + '" fill="#b07a2a" fill-opacity="0.15"/>';
-    }
-    var x = xs(w.index + (spanOf(i) - 1) / 2);
-    var e = seriesMean(w, "estimate"); if (e !== null) est.push({x: x, y: ys(e), gap: gap});
-    var k = seriesMean(w, "fleet_ks_max"); if (k !== null) ks.push({x: x, y: ys(k), gap: gap});
-    prevEnd = w.index + spanOf(i) - 1;
-  });
-  el.innerHTML =
-    gapRects +
-    '<line x1="0" x2="' + W + '" y1="' + alarmY + '" y2="' + alarmY + '" stroke="#b02a2a" stroke-dasharray="4 3"/>' +
-    line(est, "#2255aa") + line(ks, "#cc8800");
-  return missing;
-}
-var lastAlarmLine = 0;
-function renderTimeline(doc) {
-  var windows = doc.windows || [];
-  lastAlarmLine = doc.alarm_line;
-  var state = document.getElementById("state");
-  state.textContent = doc.alarming ? "ALARM" : "ok";
-  state.className = "badge " + (doc.alarming ? "alarm" : "ok");
-  document.getElementById("meta").textContent =
-    windows.length + " merged windows · " + doc.window_batches + " batch(es)/window · alarm line " +
-    doc.alarm_line.toFixed(4) + (doc.refresh_ms > 0 ? " · refresh " + doc.refresh_ms + "ms" : "");
-
-  var missing = drawDrift(document.getElementById("chart"), windows, null, doc.alarm_line);
-  var gapBadge = document.getElementById("gaps");
-  if (missing > 0) {
-    gapBadge.style.display = "";
-    gapBadge.textContent = "STALE · " + missing + " missing window" + (missing > 1 ? "s" : "");
-  } else {
-    gapBadge.style.display = "none";
-  }
-
-  var rows = windows.slice(-12).reverse().map(function (w) {
-    var e = seriesMean(w, "estimate"), k = seriesMean(w, "fleet_ks_max"), s = seriesMean(w, "fleet_stale_shards");
-    return "<tr><td>" + w.index + "</td><td>" + w.batches + "</td><td>" +
-      (e === null ? "–" : e.toFixed(4)) + "</td><td>" + (k === null ? "–" : k.toFixed(4)) +
-      '</td><td class="' + (s ? "bad" : "") + '">' + (s === null ? "–" : s) + "</td></tr>";
-  });
-  document.getElementById("rows").innerHTML = rows.join("");
-  return doc.refresh_ms;
-}
-function renderStatus(st) {
-  var staleBadge = document.getElementById("stale");
-  if (st.stale_shards > 0) {
-    staleBadge.style.display = "";
-    staleBadge.textContent = st.stale_shards + " stale shard" + (st.stale_shards > 1 ? "s" : "");
-  } else {
-    staleBadge.style.display = "none";
-  }
-  var rows = (st.replicas || []).map(function (r) {
-    return '<tr><td class="name">' + r.name + "</td><td>" + r.observed + "</td><td>" +
-      (r.max_window < 0 ? "–" : r.max_window) + "</td><td>" + r.fails +
-      '</td><td class="' + (r.stale ? "bad" : "") + '">' +
-      (r.stale ? "STALE" : (r.alarming ? "alarming" : "ok")) + "</td></tr>";
-  });
-  document.getElementById("shards").innerHTML = rows.join("");
-}
-function ms(v) { return (v * 1000).toFixed(2) + "ms"; }
-function renderSLO(view) {
-  var box = document.getElementById("slo");
-  if (!view) { box.style.display = "none"; return; }
-  box.style.display = "";
-  document.getElementById("slometa").textContent =
-    view.requests + " requests · " + view.over_budget + " over a " +
-    ms(view.budget_seconds) + " budget · target " + (view.target * 100).toFixed(2) + "%";
-  document.getElementById("slorows").innerHTML = (view.stages || []).map(function (s) {
-    return '<tr><td class="name">' + s.stage + "</td><td>" + s.count + "</td><td>" +
-      ms(s.p50) + "</td><td>" + ms(s.p99) + "</td><td>" + ms(s.p999) + "</td><td>" + ms(s.max) + "</td></tr>";
-  }).join("");
-  document.getElementById("sloex").textContent = (view.exemplars || []).length
-    ? "slowest: " + view.exemplars.map(function (e) { return e.id + " (" + ms(e.v) + ")"; }).join(", ")
-    : "";
-}
-function poll() {
-  Promise.all([
-    fetch("timeline").then(function (r) { return r.json(); }),
-    fetch("status").then(function (r) { return r.json(); }),
-    fetch("slo").then(function (r) { return r.ok ? r.json() : null; }).catch(function () { return null; })
-  ]).then(function (res) {
-    var refresh = renderTimeline(res[0]);
-    renderStatus(res[1]);
-    renderSLO(res[2]);
-    if (refresh > 0) setTimeout(poll, refresh);
-  }).catch(function () { setTimeout(poll, 5000); });
-}
-poll();
-// Durable history: pages through the aggregator's -tsdb-dir store at
-// timeline/range; the panel stays hidden when the store is off (the
-// probe fetch 404s).
-var histState = { page: 96, from: 0, to: 0, min: 0, max: 0 };
-function renderHist(doc) {
-  histState.min = doc.min_index; histState.max = doc.max_index;
-  histState.from = doc.from; histState.to = doc.to;
-  var missing = drawDrift(document.getElementById("histchart"), doc.windows || [], doc.spans || null, lastAlarmLine);
-  document.getElementById("histmeta").textContent =
-    "windows " + doc.from + "–" + doc.to + " of " + doc.min_index + "–" + doc.max_index +
-    " · " + (doc.windows || []).length + " persisted" +
-    (missing > 0 ? " · " + missing + " missing" : "");
-  document.getElementById("older").disabled = doc.from <= doc.min_index;
-  document.getElementById("newer").disabled = doc.to >= doc.max_index;
-}
-function loadHist(from, to) {
-  fetch("timeline/range?from=" + from + "&to=" + to)
-    .then(function (r) { if (!r.ok) throw 0; return r.json(); })
-    .then(renderHist).catch(function () {});
-}
-function histPage(to) {
-  loadHist(Math.max(histState.min, to - histState.page + 1), to);
-}
-function initHist() {
-  fetch("timeline/range?from=0&to=0")
-    .then(function (r) { if (!r.ok) throw 0; return r.json(); })
-    .then(function (doc) {
-      document.getElementById("hist").style.display = "";
-      document.getElementById("older").onclick = function () {
-        histPage(Math.max(histState.min + histState.page - 1, histState.from - 1));
-      };
-      document.getElementById("newer").onclick = function () {
-        histPage(Math.min(histState.max, histState.to + histState.page));
-      };
-      histPage(doc.max_index);
-    }).catch(function () {});
-}
-initHist();
-</script>
-</body>
-</html>
-`

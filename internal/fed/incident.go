@@ -125,8 +125,13 @@ func (c *Capture) capture(ev alert.Event) (*FleetIncident, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Write through tmp+rename, as replica bundles are: a crash
+	// mid-write leaves a stray .tmp, never a torn fleet-*.json.
 	path := filepath.Join(c.cfg.Dir, id+".json")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path+".tmp", append(buf, '\n'), 0o644); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
 		return nil, err
 	}
 	c.cfg.Logger.Info("fleet incident captured",
@@ -150,7 +155,8 @@ func (c *Capture) prune() {
 }
 
 // Incidents lists the capture directory's fleet incidents, oldest
-// first.
+// first. An unreadable file is skipped with a warning, so one torn or
+// foreign file cannot hide the rest.
 func (c *Capture) Incidents() ([]*FleetIncident, error) {
 	entries, err := filepath.Glob(filepath.Join(c.cfg.Dir, "fleet-*.json"))
 	if err != nil {
@@ -159,13 +165,14 @@ func (c *Capture) Incidents() ([]*FleetIncident, error) {
 	sort.Strings(entries)
 	out := make([]*FleetIncident, 0, len(entries))
 	for _, path := range entries {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
 		var inc FleetIncident
-		if err := json.Unmarshal(buf, &inc); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+		buf, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(buf, &inc)
+		}
+		if err != nil {
+			c.cfg.Logger.Warn("skipping unreadable fleet incident", "path", path, "err", err)
+			continue
 		}
 		out = append(out, &inc)
 	}

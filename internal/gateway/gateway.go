@@ -16,7 +16,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -529,18 +528,9 @@ func (g *Gateway) servingDoc() *fed.ServingDoc {
 	}
 }
 
-// handleSLO serves the SLO document with the monitor endpoints' cache
-// hygiene: explicit Content-Type, Cache-Control: no-store (live
-// operational state must never be cached).
 func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Cache-Control", "no-store")
-	if err := json.NewEncoder(w).Encode(g.SLO()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if obs.RequireGet(w, r) {
+		obs.WriteJSON(w, g.SLO())
 	}
 }
 
@@ -556,8 +546,7 @@ type Status struct {
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	if !obs.RequireGet(w, r) {
 		return
 	}
 	st := Status{
@@ -572,10 +561,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		summary := g.cfg.Monitor.Summarize()
 		st.Monitor = &summary
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(st); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	obs.WriteJSON(w, st)
 }
 
 // handleHealthz reports model-quality health: 503 while the performance

@@ -137,6 +137,9 @@ func getStatus(t *testing.T, url string) Status {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
+		t.Fatalf("/status Cache-Control = %q, want no-store", cc)
+	}
 	var st Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)

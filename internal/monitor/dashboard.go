@@ -1,17 +1,23 @@
 package monitor
 
-// The HTML drift dashboard served at the monitor's root: a static page
-// whose inline script polls GET /timeline and redraws an estimate
-// sparkline against the alarm line, the KS drift trace, the labeled-
-// accuracy credible band (when the label-feedback store feeds the
-// timeline) and a recent-window table. The refresh cadence is
-// configured server-side (Config.DashboardRefresh) and delivered to
-// the page inside the timeline document, so operators tune it with a
-// flag, not by editing JavaScript.
+// The HTML drift dashboard served at the monitor's root and, under its
+// own title, at the fleet aggregator's: a static page whose inline
+// script polls GET /timeline and redraws an estimate sparkline against
+// the alarm line, the KS drift trace, the labeled-accuracy credible
+// band (when the label-feedback store feeds the timeline) and a
+// recent-window table. The page draws whatever the fetched documents
+// hold, so one page serves a replica and a fleet: the shard panel
+// appears when the relative status document lists replicas, the KS
+// trace prefers the fleet statistic when the aggregator computed one.
+// The refresh cadence is configured server-side
+// (Config.DashboardRefresh) and delivered to the page inside the
+// timeline document, so operators tune it with a flag, not by editing
+// JavaScript.
 
 import (
-	"fmt"
+	"io"
 	"net/http"
+	"strings"
 
 	"blackboxval/internal/obs"
 )
@@ -44,30 +50,53 @@ func (m *Monitor) TimelineDoc() TimelineDoc {
 	}
 }
 
-func (m *Monitor) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	setMonitorHeaders(w, "text/html; charset=utf-8")
-	fmt.Fprint(w, dashboardHTML)
+// TimelineHandler serves GET /timeline: a snapshot of doc with its
+// windows clipped by the shared ?limit= contract. The monitor and the
+// fleet aggregator both serve their timelines through it.
+func TimelineHandler(doc func() TimelineDoc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !obs.RequireGet(w, r) {
+			return
+		}
+		d := doc()
+		var ok bool
+		if d.Windows, ok = obs.Limit(w, r, d.Windows); ok {
+			obs.WriteJSON(w, d)
+		}
+	})
+}
+
+// DashboardHandler serves the drift dashboard at GET / under the given
+// page title and heading.
+func DashboardHandler(title, heading string) http.Handler {
+	page := strings.NewReplacer("{{title}}", title, "{{heading}}", heading).Replace(dashboardHTML)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		if !obs.RequireGet(w, r) {
+			return
+		}
+		obs.SetNoStore(w, "text/html; charset=utf-8")
+		io.WriteString(w, page)
+	})
 }
 
 // dashboardHTML is deliberately dependency-free: no template engine, no
-// asset pipeline, one fetch target. The page reads every dynamic value —
-// including its own refresh interval — from /timeline.
+// asset pipeline, one fetch target per panel. The page reads every
+// dynamic value — including its own refresh interval — from the
+// documents it fetches; {{title}} and {{heading}} are filled in by
+// DashboardHandler.
 const dashboardHTML = `<!doctype html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>ppm drift timeline</title>
+<title>{{title}}</title>
 <style>
   body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem; color: #222; }
   h1 { font-size: 1.2rem; }
+  h2 { font-size: 1rem; }
   .status { margin: .5rem 0 1rem; }
   .badge { padding: .15rem .5rem; border-radius: .25rem; color: #fff; }
   .ok { background: #2a7d2a; }
@@ -77,26 +106,35 @@ const dashboardHTML = `<!doctype html>
   table { border-collapse: collapse; margin-top: 1rem; }
   th, td { border: 1px solid #ccc; padding: .25rem .6rem; text-align: right; }
   th { background: #f0f0f0; }
-  td.alarming { background: #f6d5d5; }
+  td.bad { background: #f6d5d5; }
+  td.name { text-align: left; }
   .meta { color: #666; font-size: .85rem; }
   button { font: inherit; padding: .1rem .5rem; }
 </style>
 </head>
 <body>
-<h1>Performance-predictor drift timeline</h1>
+<h1>{{heading}}</h1>
 <div class="status">
   state: <span id="state" class="badge ok">loading…</span>
+  <span id="stale" class="badge stale" style="display:none"></span>
   <span id="gaps" class="badge stale" style="display:none"></span>
   <span class="meta" id="meta"></span>
-  <span class="meta"><a href="/debug/incidents/view">incidents</a></span>
+  <span class="meta" id="incidents" style="display:none"><a href="/debug/incidents/view">incidents</a></span>
 </div>
 <svg id="chart" width="720" height="160" viewBox="0 0 720 160"></svg>
+<div id="shardbox" style="display:none">
+<h2>Shards</h2>
 <table>
-  <thead><tr><th>window</th><th>batches</th><th>estimate</th><th>labeled acc [95% CI]</th><th>ks_max</th><th>alarm</th></tr></thead>
+  <thead><tr><th>replica</th><th>observed</th><th>max window</th><th>fails</th><th>state</th></tr></thead>
+  <tbody id="shards"></tbody>
+</table>
+</div>
+<table>
+  <thead id="head"></thead>
   <tbody id="rows"></tbody>
 </table>
 <div id="slo" style="display:none">
-<h2 style="font-size:1rem">Serving latency</h2>
+<h2>Serving latency</h2>
 <div class="meta" id="slometa"></div>
 <table>
   <thead><tr><th>stage</th><th>count</th><th>p50</th><th>p99</th><th>p999</th><th>max</th></tr></thead>
@@ -105,7 +143,7 @@ const dashboardHTML = `<!doctype html>
 <div class="meta" id="sloex"></div>
 </div>
 <div id="hist" style="display:none">
-<h2 style="font-size:1rem">Durable history</h2>
+<h2>Durable history</h2>
 <div class="meta">
   <button id="older">&laquo; older</button>
   <button id="newer">newer &raquo;</button>
@@ -131,12 +169,21 @@ function seriesLast(w, name) {
   var a = w.series && w.series[name];
   return a && a.count ? a.last : null;
 }
+function hasSeries(windows, name) {
+  return windows.some(function (w) { return seriesMean(w, name) !== null; });
+}
+// ksSeries names the KS drift trace to draw: the aggregator's KS of the
+// merged serving distributions when present, else the replica's own.
+function ksSeries(windows) {
+  return hasSeries(windows, "fleet_ks_max") ? "fleet_ks_max" : "ks_max";
+}
 function band(los, his, color) {
   if (los.length < 2) return "";
   var pts = los.concat(his.slice().reverse());
   var d = pts.map(function (p, i) { return (i ? "L" : "M") + p.x.toFixed(1) + " " + p.y.toFixed(1); }).join(" ") + " Z";
   return '<path d="' + d + '" fill="' + color + '" fill-opacity="0.25" stroke="none"/>';
 }
+function fixed(v, digits) { return v === null ? "–" : v.toFixed(digits); }
 // drawDrift renders a gap-aware drift chart into an svg element. The x
 // axis is proportional to window INDEX, not array position, so
 // non-contiguous windows (ring evictions, a restarted producer, a
@@ -157,6 +204,7 @@ function drawDrift(el, windows, spans, alarmLine) {
   var range = Math.max(1, last - first);
   var xs = function (idx) { return last === first ? W / 2 : pad + (idx - first) * (W - 2 * pad) / range; };
   var ys = function (v) { return H - pad - Math.max(0, Math.min(1, v)) * (H - 2 * pad); };
+  var ksName = ksSeries(windows);
   var est = [], ks = [], lab = [], lablo = [], labhi = [];
   var gapRects = "", missing = 0, prevEnd = null;
   windows.forEach(function (w, i) {
@@ -168,7 +216,7 @@ function drawDrift(el, windows, spans, alarmLine) {
     }
     var x = xs(w.index + (spanOf(i) - 1) / 2); // bucket midpoint
     var e = seriesMean(w, "estimate"); if (e !== null) est.push({x: x, y: ys(e), gap: gap});
-    var k = seriesMean(w, "ks_max"); if (k !== null) ks.push({x: x, y: ys(k), gap: gap});
+    var k = seriesMean(w, ksName); if (k !== null) ks.push({x: x, y: ys(k), gap: gap});
     // The labeled-accuracy posterior: last value per window is the most
     // recent Beta interval the label joins produced there.
     var m = seriesLast(w, "labeled_acc_mean"), lo = seriesLast(w, "labeled_acc_lo95"), hi = seriesLast(w, "labeled_acc_hi95");
@@ -206,47 +254,91 @@ function render(doc) {
     gapBadge.style.display = "none";
   }
 
+  // Optional columns appear only when the timeline carries their series:
+  // the label-feedback posterior, and the aggregator's stale-shard count.
+  var ksName = ksSeries(windows);
+  var hasLab = hasSeries(windows, "labeled_acc_mean"), hasStale = hasSeries(windows, "fleet_stale_shards");
+  document.getElementById("head").innerHTML = "<tr><th>window</th><th>batches</th><th>estimate</th>" +
+    (hasLab ? "<th>labeled acc [95% CI]</th>" : "") + "<th>" + ksName + "</th>" +
+    (hasStale ? "<th>stale shards</th>" : "") + "<th>alarm</th></tr>";
   var rows = windows.slice(-12).reverse().map(function (w) {
-    var e = seriesMean(w, "estimate"), k = seriesMean(w, "ks_max"), a = seriesMean(w, "alarm");
+    var e = seriesMean(w, "estimate"), k = seriesMean(w, ksName), a = seriesMean(w, "alarm");
     var m = seriesLast(w, "labeled_acc_mean"), lo = seriesLast(w, "labeled_acc_lo95"), hi = seriesLast(w, "labeled_acc_hi95");
+    var s = seriesMean(w, "fleet_stale_shards");
     var labCell = (m === null || lo === null || hi === null) ? "–" :
       m.toFixed(3) + " [" + lo.toFixed(3) + ", " + hi.toFixed(3) + "]";
-    return "<tr><td>" + w.index + "</td><td>" + w.batches + "</td><td>" +
-      (e === null ? "–" : e.toFixed(4)) + "</td><td>" + labCell + "</td><td>" + (k === null ? "–" : k.toFixed(4)) +
-      '</td><td class="' + (a ? "alarming" : "") + '">' + (a ? "yes" : "no") + "</td></tr>";
+    return "<tr><td>" + w.index + "</td><td>" + w.batches + "</td><td>" + fixed(e, 4) + "</td>" +
+      (hasLab ? "<td>" + labCell + "</td>" : "") + "<td>" + fixed(k, 4) + "</td>" +
+      (hasStale ? '<td class="' + (s ? "bad" : "") + '">' + (s === null ? "–" : s) + "</td>" : "") +
+      '<td class="' + (a ? "bad" : "") + '">' + (a ? "yes" : "no") + "</td></tr>";
   });
   document.getElementById("rows").innerHTML = rows.join("");
 }
+// The shard panel reads the relative status document. Only the fleet
+// aggregator's lists replicas; a replica's status path 404s, so the
+// panel and the stale-shard badge stay hidden there.
+function renderStatus(st) {
+  var fleet = !!(st && st.replicas);
+  document.getElementById("shardbox").style.display = fleet ? "" : "none";
+  var staleBadge = document.getElementById("stale");
+  if (fleet && st.stale_shards > 0) {
+    staleBadge.style.display = "";
+    staleBadge.textContent = st.stale_shards + " stale shard" + (st.stale_shards > 1 ? "s" : "");
+  } else {
+    staleBadge.style.display = "none";
+  }
+  if (!fleet) return;
+  document.getElementById("shards").innerHTML = st.replicas.map(function (r) {
+    return '<tr><td class="name">' + r.name + "</td><td>" + r.observed + "</td><td>" +
+      (r.max_window < 0 ? "–" : r.max_window) + "</td><td>" + r.fails +
+      '</td><td class="' + (r.stale ? "bad" : "") + '">' +
+      (r.stale ? "STALE" : (r.alarming ? "alarming" : "ok")) + "</td></tr>";
+  }).join("");
+}
 function ms(v) { return (v * 1000).toFixed(2) + "ms"; }
-// The serving SLO panel reads the gateway's root /slo (absolute: this
-// dashboard is usually mounted under /monitor/). A standalone monitor
-// has no /slo — the panel stays hidden there.
+// The serving SLO panel reads the root /slo (absolute: the replica
+// dashboard is usually mounted under the gateway's /monitor/). A
+// gateway reports burn rates; the fleet-merged view reports the target.
+// Without an /slo the panel stays hidden.
 function renderSLO(doc) {
   var box = document.getElementById("slo");
   if (!doc) { box.style.display = "none"; return; }
   box.style.display = "";
   document.getElementById("slometa").textContent =
-    doc.requests + " requests · " + doc.over_budget + " over a " + ms(doc.budget_seconds) +
-    " budget · burn fast " + doc.burn_fast.toFixed(2) + " / slow " + doc.burn_slow.toFixed(2);
+    doc.requests + " requests · " + doc.over_budget + " over a " + ms(doc.budget_seconds) + " budget · " +
+    (typeof doc.burn_fast === "number"
+      ? "burn fast " + doc.burn_fast.toFixed(2) + " / slow " + doc.burn_slow.toFixed(2)
+      : "target " + (doc.target * 100).toFixed(2) + "%");
   document.getElementById("slorows").innerHTML = (doc.stages || []).map(function (s) {
-    return "<tr><td>" + s.stage + "</td><td>" + s.count + "</td><td>" +
+    return '<tr><td class="name">' + s.stage + "</td><td>" + s.count + "</td><td>" +
       ms(s.p50) + "</td><td>" + ms(s.p99) + "</td><td>" + ms(s.p999) + "</td><td>" + ms(s.max) + "</td></tr>";
   }).join("");
   document.getElementById("sloex").textContent = (doc.exemplars || []).length
     ? "slowest: " + doc.exemplars.map(function (e) { return e.id + " (" + ms(e.v) + ")"; }).join(", ")
     : "";
 }
+// optionalJSON resolves to the parsed document, or null when the
+// endpoint is absent on this process.
+function optionalJSON(url) {
+  return fetch(url).then(function (r) { return r.ok ? r.json() : null; }).catch(function () { return null; });
+}
 function poll() {
   Promise.all([
     fetch("timeline").then(function (r) { return r.json(); }),
-    fetch("/slo").then(function (r) { return r.ok ? r.json() : null; }).catch(function () { return null; })
+    optionalJSON("status"),
+    optionalJSON("/slo")
   ]).then(function (res) {
     render(res[0]);
-    renderSLO(res[1]);
+    renderStatus(res[1]);
+    renderSLO(res[2]);
     if (res[0].refresh_ms > 0) setTimeout(poll, res[0].refresh_ms);
   }).catch(function () { setTimeout(poll, 5000); });
 }
 poll();
+// The incidents link appears only where the flight recorder is mounted.
+optionalJSON("/debug/incidents").then(function (doc) {
+  if (doc) document.getElementById("incidents").style.display = "";
+});
 // Durable history: pages through the on-disk window store at the
 // relative timeline/range endpoint (same page works standalone and
 // behind the gateway's /monitor/ mount). The panel only appears when

@@ -1,10 +1,10 @@
 package monitor
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
+
+	"blackboxval/internal/obs"
 )
 
 // Handler exposes the monitor's state over HTTP for dashboards and
@@ -17,97 +17,40 @@ import (
 //	GET /timeline?limit=N  -> TimelineDoc clipped to the most recent N windows
 //	GET /healthz           -> 200 ok
 //
-// Every ?limit= shares one validation contract with /debug/spans:
-// non-numeric or negative input is a 400, never a silent default.
+// Every ?limit= shares one validation contract with /debug/spans
+// (obs.Limit): non-numeric or negative input is a 400, never a silent
+// default.
 //
 // Mount it next to the prediction service so the validation state ships
 // with the model.
 func (m *Monitor) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", m.handleDashboard)
-	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		doc := m.TimelineDoc()
-		limit, ok := parseLimit(w, r, len(doc.Windows))
-		if !ok {
-			return
-		}
-		if limit < len(doc.Windows) {
-			doc.Windows = doc.Windows[len(doc.Windows)-limit:]
-		}
-		writeJSON(w, doc)
-	})
+	mux.Handle("/", DashboardHandler("ppm drift timeline", "Performance-predictor drift timeline"))
+	mux.Handle("/timeline", TimelineHandler(m.TimelineDoc))
 	mux.HandleFunc("/summary", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
+		if obs.RequireGet(w, r) {
+			obs.WriteJSON(w, m.Summarize())
 		}
-		writeJSON(w, m.Summarize())
 	})
 	mux.HandleFunc("/history", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		if !obs.RequireGet(w, r) {
 			return
 		}
-		history := m.History()
-		limit, ok := parseLimit(w, r, len(history))
-		if !ok {
-			return
+		if history, ok := obs.Limit(w, r, m.History()); ok {
+			obs.WriteJSON(w, history)
 		}
-		if limit < len(history) {
-			history = history[len(history)-limit:]
-		}
-		writeJSON(w, history)
 	})
 	mux.HandleFunc("/alarming", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
+		if obs.RequireGet(w, r) {
+			obs.WriteJSON(w, map[string]any{
+				"alarming":   m.Alarming(),
+				"alarm_line": m.AlarmLine(),
+			})
 		}
-		writeJSON(w, map[string]any{
-			"alarming":   m.Alarming(),
-			"alarm_line": m.AlarmLine(),
-		})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		setMonitorHeaders(w, "text/plain; charset=utf-8")
+		obs.SetNoStore(w, "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
-}
-
-// parseLimit reads ?limit= with the validation contract every limit
-// parameter in this repository shares (/history, /timeline,
-// /debug/spans): absent means def, non-numeric or negative writes a
-// 400 and reports ok=false.
-func parseLimit(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
-	raw := r.URL.Query().Get("limit")
-	if raw == "" {
-		return def, true
-	}
-	limit, err := strconv.Atoi(raw)
-	if err != nil || limit < 0 {
-		http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
-		return 0, false
-	}
-	return limit, true
-}
-
-// setMonitorHeaders applies the shared response hygiene of every
-// monitor endpoint: an explicit Content-Type and Cache-Control:
-// no-store, because all of them report live model state that a cache
-// (or a browser's back button) must never serve stale.
-func setMonitorHeaders(w http.ResponseWriter, contentType string) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Cache-Control", "no-store")
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	setMonitorHeaders(w, "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }

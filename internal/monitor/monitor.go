@@ -398,7 +398,7 @@ func boolSeries(b bool) float64 {
 }
 
 // ObserveRow consumes a single model output (one prediction's probability
-// vector) for deployments that cannot batch. Rows accumulate in a P²
+// vector) for deployments that cannot batch. Rows accumulate in a KLL
 // streaming window of Config.WindowSize predictions; when the window
 // fills, the monitor evaluates it like a batch and returns the resulting
 // record with done=true. Streaming windows use only the estimate-based

@@ -3,7 +3,8 @@ package obs
 // HTTP surface shared by every binary: the /metrics exposition
 // handler with the canonical Prometheus content type, the
 // /debug/pprof/* profiling endpoints, the /debug/spans JSON trace
-// export, and a request-instrumentation middleware.
+// export, a request-instrumentation middleware, and the response
+// helpers every operator-facing JSON endpoint is written with.
 
 import (
 	"encoding/json"
@@ -31,26 +32,63 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Handler serves the tracer's retained span trees as JSON at GET.
-// ?limit=N truncates the dump to the N most recent traces. Live
-// operational state must never be cached (the monitor endpoints'
-// hygiene rule), hence Cache-Control: no-store.
+// RequireGet reports whether req is a GET, answering anything else
+// with 405 "GET required".
+func RequireGet(w http.ResponseWriter, req *http.Request) bool {
+	if req.Method != http.MethodGet {
+		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return false
+	}
+	return true
+}
+
+// SetNoStore sets an explicit Content-Type and Cache-Control: no-store:
+// every operator endpoint reports live state that a cache (or a
+// browser's back button) must never serve stale.
+func SetNoStore(w http.ResponseWriter, contentType string) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Cache-Control", "no-store")
+}
+
+// WriteJSON writes v as a JSON document with SetNoStore's headers; an
+// encoding failure is a 500.
+func WriteJSON(w http.ResponseWriter, v any) {
+	SetNoStore(w, "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// Limit applies the ?limit= contract every list endpoint shares
+// (/timeline, /history, /debug/spans): absent keeps all of xs, N keeps
+// the N most recent (last) entries, and non-numeric or negative input
+// is a 400, never a silent default, reported as ok=false.
+func Limit[T any](w http.ResponseWriter, req *http.Request, xs []T) ([]T, bool) {
+	raw := req.URL.Query().Get("limit")
+	if raw == "" {
+		return xs, true
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil || n < 0 {
+		http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
+		return nil, false
+	}
+	if n < len(xs) {
+		xs = xs[len(xs)-n:]
+	}
+	return xs, true
+}
+
+// Handler serves the tracer's retained span trees as indented JSON at
+// GET, under the shared ?limit= contract.
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		if !RequireGet(w, req) {
 			return
 		}
-		roots := t.Traces()
-		if lim := req.URL.Query().Get("limit"); lim != "" {
-			n, err := strconv.Atoi(lim)
-			if err != nil || n < 0 {
-				http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			if n < len(roots) {
-				roots = roots[len(roots)-n:]
-			}
+		roots, ok := Limit(w, req, t.Traces())
+		if !ok {
+			return
 		}
 		out := make([]SpanJSON, 0, len(roots))
 		for _, r := range roots {
@@ -61,8 +99,7 @@ func (t *Tracer) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
+		SetNoStore(w, "application/json")
 		w.Write(buf)
 	})
 }
@@ -78,15 +115,13 @@ func (t *Tracer) Handler() http.Handler {
 // replica name). Mount under the exact prefix "/debug/traces/".
 func (t *Tracer) TraceHandler(service string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		if !RequireGet(w, req) {
 			return
 		}
 		id := strings.Trim(strings.TrimPrefix(req.URL.Path, "/debug/traces"), "/")
 		w.Header().Set("Cache-Control", "no-store")
 		if id == "" {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(struct {
+			WriteJSON(w, struct {
 				Service  string   `json:"service"`
 				TraceIDs []string `json:"trace_ids"`
 			}{service, t.TraceIDs()})
@@ -110,8 +145,7 @@ func (t *Tracer) TraceHandler(service string) http.Handler {
 			w.Write(wf.HTML())
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(TraceFragment{Service: service, Spans: spans})
+		WriteJSON(w, TraceFragment{Service: service, Spans: spans})
 	})
 }
 

@@ -19,6 +19,8 @@ import (
 	"html"
 	"net/http"
 	"strings"
+
+	"blackboxval/internal/obs"
 )
 
 // ListEntry is one row of the GET /debug/incidents index.
@@ -60,21 +62,8 @@ func (r *Recorder) Handler() http.Handler {
 	})
 }
 
-func setHeaders(w http.ResponseWriter, contentType string) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Cache-Control", "no-store")
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	setHeaders(w, "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 func (r *Recorder) handleList(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	if !obs.RequireGet(w, req) {
 		return
 	}
 	bundles := r.Bundles()
@@ -88,7 +77,7 @@ func (r *Recorder) handleList(w http.ResponseWriter, req *http.Request) {
 			Alarming:   b.Alarming,
 		})
 	}
-	writeJSON(w, map[string]any{"incidents": entries})
+	obs.WriteJSON(w, map[string]any{"incidents": entries})
 }
 
 func (r *Recorder) handleTrigger(w http.ResponseWriter, req *http.Request) {
@@ -99,19 +88,18 @@ func (r *Recorder) handleTrigger(w http.ResponseWriter, req *http.Request) {
 	b, err := r.Capture("manual")
 	if err != nil {
 		// The bundle exists even when persistence failed; report both.
-		setHeaders(w, "application/json")
+		obs.SetNoStore(w, "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		json.NewEncoder(w).Encode(map[string]any{"id": b.ID, "error": err.Error()})
 		return
 	}
-	writeJSON(w, b)
+	obs.WriteJSON(w, b)
 }
 
 // handleBundle serves one bundle by id ("" = newest), as JSON or as a
 // rendered markdown report.
 func (r *Recorder) handleBundle(w http.ResponseWriter, req *http.Request, id string, report bool) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	if !obs.RequireGet(w, req) {
 		return
 	}
 	var b *Bundle
@@ -127,22 +115,21 @@ func (r *Recorder) handleBundle(w http.ResponseWriter, req *http.Request, id str
 		return
 	}
 	if report {
-		setHeaders(w, "text/markdown; charset=utf-8")
+		obs.SetNoStore(w, "text/markdown; charset=utf-8")
 		fmt.Fprint(w, b.Markdown())
 		return
 	}
-	writeJSON(w, b)
+	obs.WriteJSON(w, b)
 }
 
 // handleView renders a dependency-free HTML incident browser: the list
 // of retained bundles and the newest bundle's report inline.
 func (r *Recorder) handleView(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	if !obs.RequireGet(w, req) {
 		return
 	}
 	bundles := r.Bundles()
-	setHeaders(w, "text/html; charset=utf-8")
+	obs.SetNoStore(w, "text/html; charset=utf-8")
 	var sb strings.Builder
 	sb.WriteString(`<!doctype html><html lang="en"><head><meta charset="utf-8">
 <title>ppm incidents</title>

@@ -41,15 +41,6 @@ func BenchmarkChiSquareCounts(b *testing.B) {
 	}
 }
 
-func BenchmarkP2DigestAdd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	d := NewP2Digest(PercentileGrid(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Add(rng.Float64())
-	}
-}
-
 func BenchmarkAUC(b *testing.B) {
 	n := 2000
 	scores := randomSample(n, 1)

@@ -56,24 +56,6 @@ const (
 	kllVersion = 1
 )
 
-// QuantileEstimator is the common surface over the repo's two quantile
-// substrates: the mergeable KLL sketch (fleet aggregation) and the O(1)
-// P² digest (single-stream featurization, kept where bit-compatibility
-// with persisted predictor bundles is load-bearing).
-type QuantileEstimator interface {
-	// Add consumes one observation.
-	Add(x float64)
-	// Count returns the number of observations consumed.
-	Count() int
-	// Quantile returns the estimate for q in [0,1] (0 = min, 1 = max).
-	Quantile(q float64) float64
-}
-
-var (
-	_ QuantileEstimator = (*KLL)(nil)
-	_ QuantileEstimator = (*P2Digest)(nil)
-)
-
 // KLL is a deterministic mergeable quantile sketch. The zero value is
 // an empty, usable sketch. Not safe for concurrent use.
 type KLL struct {

@@ -305,25 +305,6 @@ func TestKLLKSDistance(t *testing.T) {
 	}
 }
 
-func TestP2DigestQuantileAdapter(t *testing.T) {
-	d := NewP2Digest([]float64{25, 50, 75})
-	for i := 0; i < 100; i++ {
-		d.Add(float64(i))
-	}
-	if d.Quantile(0) != 0 || d.Quantile(1) != 99 {
-		t.Fatalf("extremes = %v,%v, want 0,99", d.Quantile(0), d.Quantile(1))
-	}
-	if p50 := d.Quantile(0.5); p50 < 40 || p50 > 60 {
-		t.Fatalf("p50 = %v, want ~49.5", p50)
-	}
-	if p10 := d.Quantile(0.1); p10 < 0 || p10 > 30 {
-		t.Fatalf("p10 (interpolated below the grid) = %v", p10)
-	}
-	if NewP2Digest([]float64{50}).Quantile(0.5) != 0 {
-		t.Fatal("empty digest should report 0")
-	}
-}
-
 // FuzzKLLMerge is the satellite fuzz target: arbitrary byte streams
 // become float64 observations (NaN and ±Inf included), are split across
 // a fuzzer-chosen shard count, and the merged sketch must be BIT-EQUAL

@@ -7,10 +7,9 @@ package stats
 // value's bits) so the same determinism contract holds: the histogram
 // state is a pure function of the observed multiset, Merge is
 // associative and commutative, and fleet-merged p99/p999 are bit-equal
-// to a single node observing the union stream. Unlike the P² digest it
-// replaces on the hot path, nothing in it depends on arrival order —
-// the coordinated-omission analysis in open-loop load tests stays
-// honest under sharding.
+// to a single node observing the union stream. Nothing in it depends
+// on arrival order, so the coordinated-omission analysis in open-loop
+// load tests stays honest under sharding.
 //
 // On top of the counts, each bucket carries up to `slots` bounded
 // **exemplars** — (latency, X-Request-ID) pairs — so a slow p999
@@ -138,9 +137,6 @@ func normalizeLatency(v float64) (float64, bool) {
 
 // Observe consumes one latency observation (seconds) with no exemplar.
 func (h *LatencyHist) Observe(v float64) { h.ObserveID(v, "") }
-
-// Add implements QuantileEstimator.
-func (h *LatencyHist) Add(v float64) { h.ObserveID(v, "") }
 
 // ObserveID consumes one latency observation tagged with a request ID.
 // An empty ID records the count without an exemplar.

@@ -25,7 +25,7 @@ type MonitorSummary = monitor.Summary
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
 
 // StreamAccumulator builds percentile features from a stream of single
-// model outputs with O(1) memory (P² online quantiles), for deployments
+// model outputs in bounded memory (KLL sketches), for deployments
 // that cannot batch. Obtain one matched to a predictor via
 // Predictor.NewStreamAccumulator, feed it rows, and estimate with
 // Predictor.EstimateFromFeatures — or use Monitor.ObserveRow, which does
