@@ -3,7 +3,9 @@
 # parallel meta-dataset builder (internal/core/parallel.go), the forest
 # trainer, the serving-path packages (gateway proxy + monitor, whose
 # shadow tap, /metrics scrape and dashboard are hit concurrently in
-# production), and the telemetry registry/span tree plus the alert
+# production; the /predict_proba codec, whose pooled body and decode
+# buffers are shared by handler goroutines and the shadow worker), and
+# the telemetry registry/span tree plus the alert
 # engine, incident flight recorder and durable timeline store
 # (internal/obs/...), and the label-feedback store (internal/labels)
 # under the race detector in short mode.
@@ -37,7 +39,7 @@ test:
 	$(GO) -C bench test ./...
 
 race:
-	$(GO) test -short -race ./internal/core/... ./internal/models/... ./internal/gateway/... ./internal/monitor/... ./internal/obs/... ./internal/stats/... ./internal/fed/... ./internal/labels/...
+	$(GO) test -short -race ./internal/cloud/... ./internal/core/... ./internal/models/... ./internal/gateway/... ./internal/monitor/... ./internal/obs/... ./internal/stats/... ./internal/fed/... ./internal/labels/...
 
 # Speedup table for EXPERIMENTS.md ("Parallel training" section).
 bench:
@@ -95,7 +97,8 @@ audit: lint
 # Short coverage-guided fuzz budgets for the deterministic-merge
 # invariants — sketch merge (associativity/commutativity vs the union
 # stream) and the serialized round-trips — plus the attacker-facing
-# wire decoders: the /labels ingestion body, the W3C traceparent
+# wire decoders: both /predict_proba bodies (differentially, against
+# encoding/json), the /labels ingestion body, the W3C traceparent
 # header parser (every proxied request runs it), the on-disk segment
 # decoder (which must keep the valid prefix of any torn or corrupted
 # segment file without panicking), and the aggregator's bounded
@@ -104,6 +107,8 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzKLLRoundTrip -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzLatencyHistMerge -fuzztime 10s ./internal/stats
+	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/cloud
+	$(GO) test -run NONE -fuzz FuzzParseProbaResponse -fuzztime 10s ./internal/cloud
 	$(GO) test -run NONE -fuzz FuzzLabelsDecode -fuzztime 10s ./internal/labels
 	$(GO) test -run NONE -fuzz FuzzTraceparentParse -fuzztime 10s ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/obs/tsdb

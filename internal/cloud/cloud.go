@@ -10,7 +10,6 @@ package cloud
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -24,73 +23,18 @@ import (
 	"blackboxval/internal/obs"
 )
 
-// wireColumn is the JSON form of one dataframe column. Missing numeric
-// cells are encoded as null (JSON has no NaN).
-type wireColumn struct {
-	Name string     `json:"name"`
-	Kind string     `json:"kind"` // "numeric", "categorical", "text"
-	Num  []*float64 `json:"num,omitempty"`
-	Str  []string   `json:"str,omitempty"`
-}
-
-// predictRequest is the body of POST /predict_proba.
-type predictRequest struct {
-	Columns []wireColumn `json:"columns,omitempty"`
-	// Images are row-major pixel vectors for image models.
-	Images [][]float64 `json:"images,omitempty"`
-	Width  int         `json:"width,omitempty"`
-	Height int         `json:"height,omitempty"`
-}
-
-// predictResponse is the body returned by POST /predict_proba.
-type predictResponse struct {
-	Probabilities [][]float64 `json:"probabilities"`
-	NumClasses    int         `json:"num_classes"`
-}
-
-// encodeRequest serializes the features of a dataset (never its labels:
-// the cloud model must not see ground truth).
-func encodeRequest(ds *data.Dataset) predictRequest {
-	var req predictRequest
-	if ds.Tabular() {
-		for _, c := range ds.Frame.Columns() {
-			wc := wireColumn{Name: c.Name}
-			switch c.Kind {
-			case frame.Numeric:
-				wc.Kind = "numeric"
-				wc.Num = make([]*float64, len(c.Num))
-				for i, v := range c.Num {
-					if !math.IsNaN(v) {
-						v := v
-						wc.Num[i] = &v
-					}
-				}
-			case frame.Categorical:
-				wc.Kind = "categorical"
-				wc.Str = c.Str
-			case frame.Text:
-				wc.Kind = "text"
-				wc.Str = c.Str
-			}
-			req.Columns = append(req.Columns, wc)
-		}
-		return req
-	}
-	req.Images = ds.Images.Pixels
-	req.Width = ds.Images.Width
-	req.Height = ds.Images.Height
-	return req
-}
-
-// decodeRequest reconstructs an unlabeled dataset on the server side.
-func decodeRequest(req predictRequest, numClasses int) (*data.Dataset, error) {
-	ds := &data.Dataset{Classes: make([]string, numClasses)}
-	for i := range ds.Classes {
-		ds.Classes[i] = fmt.Sprintf("class%d", i)
-	}
+// decodeRequest reconstructs an unlabeled dataset from a decoded
+// request body. The caller names the classes. Duplicate column names,
+// columns of unequal length and image dimensions whose pixel count
+// overflows are errors.
+func decodeRequest(req predictRequest) (*data.Dataset, error) {
+	ds := &data.Dataset{}
 	if len(req.Images) > 0 {
 		if req.Width <= 0 || req.Height <= 0 {
 			return nil, fmt.Errorf("cloud: image request lacks dimensions")
+		}
+		if req.Width > math.MaxInt/req.Height {
+			return nil, fmt.Errorf("cloud: image dimensions %dx%d overflow", req.Width, req.Height)
 		}
 		set := imgdata.NewSet(req.Width, req.Height)
 		for i, px := range req.Images {
@@ -106,27 +50,27 @@ func decodeRequest(req predictRequest, numClasses int) (*data.Dataset, error) {
 	f := frame.New()
 	n := -1
 	for _, wc := range req.Columns {
+		rows := len(wc.Str)
+		if wc.Kind == "numeric" {
+			rows = len(wc.Num)
+		}
+		if f.Column(wc.Name) != nil {
+			return nil, fmt.Errorf("cloud: duplicate column %q", wc.Name)
+		}
+		if n >= 0 && rows != n {
+			return nil, fmt.Errorf("cloud: column %q has %d rows, want %d", wc.Name, rows, n)
+		}
 		switch wc.Kind {
 		case "numeric":
-			num := make([]float64, len(wc.Num))
-			for i, v := range wc.Num {
-				if v == nil {
-					num[i] = math.NaN()
-				} else {
-					num[i] = *v
-				}
-			}
-			f.AddNumeric(wc.Name, num)
-			n = len(num)
+			f.AddNumeric(wc.Name, wc.Num)
 		case "categorical":
 			f.AddCategorical(wc.Name, wc.Str)
-			n = len(wc.Str)
 		case "text":
 			f.AddText(wc.Name, wc.Str)
-			n = len(wc.Str)
 		default:
 			return nil, fmt.Errorf("cloud: unknown column kind %q", wc.Kind)
 		}
+		n = rows
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("cloud: request has no columns or images")
@@ -134,6 +78,15 @@ func decodeRequest(req predictRequest, numClasses int) (*data.Dataset, error) {
 	ds.Frame = f
 	ds.Labels = make([]int, n)
 	return ds, nil
+}
+
+// classNames returns placeholder names for a served model's classes.
+func classNames(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("class%d", i)
+	}
+	return out
 }
 
 // Server exposes a data.Model over HTTP. Mount its Handler and point a
@@ -147,7 +100,7 @@ func NewServer(model data.Model) *Server { return &Server{model: model} }
 
 // Handler returns the HTTP handler implementing the prediction API:
 //
-//	POST /predict_proba  body: predictRequest  ->  predictResponse
+//	POST /predict_proba  body: predictRequest  ->  {"probabilities":[[..],..],"num_classes":n}
 //	GET  /healthz        -> 200 ok
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -173,30 +126,34 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		defer span.End()
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, 256<<20))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := readRequest(body)
+	if err != nil {
 		http.Error(w, "invalid JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	ds, err := decodeRequest(req, s.model.NumClasses())
+	ds, err := decodeRequest(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	ds.Classes = classNames(s.model.NumClasses())
 	proba := s.model.PredictProba(ds)
-	resp := predictResponse{NumClasses: proba.Cols, Probabilities: make([][]float64, proba.Rows)}
-	for i := 0; i < proba.Rows; i++ {
-		resp.Probabilities[i] = append([]float64(nil), proba.Row(i)...)
+	// The body is written straight from the matrix into a pooled buffer.
+	bp := getBuf()
+	out, err := appendResponse(*bp, proba)
+	if err != nil {
+		putBuf(bp, *bp)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	w.Write(out)
+	putBuf(bp, out)
 }
 
 // Client is a data.Model backed by a remote prediction service. The
@@ -262,9 +219,9 @@ func (c *Client) PredictCtx(ctx context.Context, ds *data.Dataset) (*linalg.Matr
 		ctx = spanCtx
 		tc = span.TraceContext()
 	}
-	payload, err := json.Marshal(encodeRequest(ds))
+	payload, err := EncodeRequest(ds)
 	if err != nil {
-		return nil, fmt.Errorf("cloud: encoding request: %w", err)
+		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/predict_proba", bytes.NewReader(payload))
 	if err != nil {
@@ -280,10 +237,10 @@ func (c *Client) PredictCtx(ctx context.Context, ds *data.Dataset) (*linalg.Matr
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		msg, _ := ReadBody(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("cloud: service returned %s: %s", resp.Status, msg)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := ReadBody(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: reading response: %w", err)
 	}
@@ -299,10 +256,14 @@ func (c *Client) PredictCtx(ctx context.Context, ds *data.Dataset) (*linalg.Matr
 // /predict_proba request body, for callers that speak the wire format
 // directly — e.g. traffic generators driving the gateway.
 func EncodeRequest(ds *data.Dataset) ([]byte, error) {
-	payload, err := json.Marshal(encodeRequest(ds))
+	bp := getBuf()
+	b, err := appendRequest(*bp, ds)
 	if err != nil {
+		putBuf(bp, *bp)
 		return nil, fmt.Errorf("cloud: encoding request: %w", err)
 	}
+	payload := bytes.Clone(b)
+	putBuf(bp, b)
 	return payload, nil
 }
 
@@ -313,38 +274,16 @@ func EncodeRequest(ds *data.Dataset) ([]byte, error) {
 // feature columns of a tapped request for incident forensics without
 // re-implementing the wire schema.
 func DecodeRequest(body []byte, classes []string) (*data.Dataset, error) {
-	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := readRequest(body)
+	if err != nil {
 		return nil, fmt.Errorf("cloud: decoding request: %w", err)
 	}
-	ds, err := decodeRequest(req, len(classes))
+	ds, err := decodeRequest(req)
 	if err != nil {
 		return nil, err
 	}
 	ds.Classes = append([]string(nil), classes...)
 	return ds, nil
-}
-
-// ParseProbaResponse decodes the JSON body of a /predict_proba response
-// into a probability matrix. It is exported so serving-path components
-// (e.g. the shadow-validation gateway) can tap logged response bodies
-// without re-implementing the wire schema.
-func ParseProbaResponse(body []byte) (proba *linalg.Matrix, numClasses int, err error) {
-	var pr predictResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		return nil, 0, fmt.Errorf("cloud: decoding response: %w", err)
-	}
-	if pr.NumClasses <= 0 {
-		return nil, 0, fmt.Errorf("cloud: response reports %d classes", pr.NumClasses)
-	}
-	out := linalg.NewMatrix(len(pr.Probabilities), pr.NumClasses)
-	for i, row := range pr.Probabilities {
-		if len(row) != pr.NumClasses {
-			return nil, 0, fmt.Errorf("cloud: row %d has %d probabilities, want %d", i, len(row), pr.NumClasses)
-		}
-		copy(out.Row(i), row)
-	}
-	return out, pr.NumClasses, nil
 }
 
 // NumClasses implements data.Model. It is learned from the first

@@ -216,10 +216,10 @@ func TestParseProbaResponse(t *testing.T) {
 }
 
 func TestDecodeRequestValidation(t *testing.T) {
-	if _, err := decodeRequest(predictRequest{Images: [][]float64{{1, 2}}}, 2); err == nil {
+	if _, err := decodeRequest(predictRequest{Images: [][]float64{{1, 2}}}); err == nil {
 		t.Fatal("missing image dims should error")
 	}
-	if _, err := decodeRequest(predictRequest{Columns: []wireColumn{{Name: "x", Kind: "bogus"}}}, 2); err == nil {
+	if _, err := decodeRequest(predictRequest{Columns: []wireColumn{{Name: "x", Kind: "bogus"}}}); err == nil {
 		t.Fatal("unknown kind should error")
 	}
 }

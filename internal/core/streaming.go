@@ -17,6 +17,7 @@ type StreamAccumulator struct {
 	classes  int
 	step     float64
 	grid     []float64
+	fracs    []float64 // grid/100, the sketch quantiles Features reads
 	sketches []stats.KLL
 	rows     int // KLL.Count skips NaN inputs; this counts every row
 }
@@ -30,10 +31,16 @@ func NewStreamAccumulator(classes int, percentileStep float64) *StreamAccumulato
 	if percentileStep == 0 {
 		percentileStep = 5
 	}
+	grid := stats.PercentileGrid(percentileStep)
+	fracs := make([]float64, len(grid))
+	for i, p := range grid {
+		fracs[i] = p / 100
+	}
 	return &StreamAccumulator{
 		classes:  classes,
 		step:     percentileStep,
-		grid:     stats.PercentileGrid(percentileStep),
+		grid:     grid,
+		fracs:    fracs,
 		sketches: make([]stats.KLL, classes),
 	}
 }
@@ -57,9 +64,7 @@ func (a *StreamAccumulator) Count() int { return a.rows }
 func (a *StreamAccumulator) Features() []float64 {
 	out := make([]float64, 0, a.classes*len(a.grid))
 	for c := range a.sketches {
-		for _, p := range a.grid {
-			out = append(out, a.sketches[c].Quantile(p/100))
-		}
+		out = a.sketches[c].Quantiles(a.fracs, out)
 	}
 	return out
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"math"
@@ -29,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blackboxval/internal/cloud"
 	"blackboxval/internal/data"
 	"blackboxval/internal/fed"
 	"blackboxval/internal/labels"
@@ -313,7 +313,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	decodeStart := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := cloud.ReadBody(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	g.slo.observeStage(StageDecode, time.Since(decodeStart).Seconds(), id)
 	if err != nil {
 		status = http.StatusBadRequest
@@ -472,7 +472,7 @@ func (g *Gateway) attempt(ctx context.Context, body []byte, id string) (*backend
 		return nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	respBody, err := cloud.ReadBody(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("reading backend response: %w", err)
 	}

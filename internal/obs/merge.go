@@ -93,10 +93,7 @@ func MergeAggregates(a, b Aggregate, quantiles []float64) Aggregate {
 	}
 	if sk.Count() > 0 && !degraded {
 		out.Sketch = sk
-		out.Quantiles = make(map[string]float64, len(quantiles))
-		for _, q := range quantiles {
-			out.Quantiles[quantileKey(q)] = sk.Quantile(q / 100)
-		}
+		out.Quantiles = quantileMap(sk, quantiles)
 	}
 	return out
 }

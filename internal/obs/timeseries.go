@@ -242,10 +242,7 @@ func (ts *TimeSeries) closeLocked() (Window, []func(Window)) {
 			SumExact: s.sum, Sketch: s.sketch,
 		}
 		if s.count > 0 {
-			agg.Quantiles = make(map[string]float64, len(ts.cfg.Quantiles))
-			for _, q := range ts.cfg.Quantiles {
-				agg.Quantiles[quantileKey(q)] = s.sketch.Quantile(q / 100)
-			}
+			agg.Quantiles = quantileMap(s.sketch, ts.cfg.Quantiles)
 		}
 		w.Series[name] = agg
 	}
@@ -263,6 +260,22 @@ func (ts *TimeSeries) closeLocked() (Window, []func(Window)) {
 // quantileKey renders a percentile as its JSON key ("p50", "p99.9").
 func quantileKey(q float64) string {
 	return fmt.Sprintf("p%g", q)
+}
+
+// quantileMap reads the percentiles (in (0,100)) off sk, keyed by
+// quantileKey. One ordering of the sketch's buckets answers them all.
+func quantileMap(sk *stats.KLL, percentiles []float64) map[string]float64 {
+	var fracBuf, valBuf [8]float64
+	fracs := fracBuf[:0]
+	for _, q := range percentiles {
+		fracs = append(fracs, q/100)
+	}
+	vals := sk.Quantiles(fracs, valBuf[:0])
+	out := make(map[string]float64, len(percentiles))
+	for i, q := range percentiles {
+		out[quantileKey(q)] = vals[i]
+	}
+	return out
 }
 
 // OnWindowClose registers fn to observe every closed window, in close

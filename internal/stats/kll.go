@@ -36,11 +36,13 @@ package stats
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -190,7 +192,7 @@ func sortedBuckets(m map[int32]int64) []kllBucket {
 	for idx, n := range m {
 		out = append(out, kllBucket{idx, n})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
+	slices.SortFunc(out, func(a, b kllBucket) int { return cmp.Compare(a.idx, b.idx) })
 	return out
 }
 
@@ -208,6 +210,31 @@ func clampRange(v, lo, hi float64) float64 {
 // rank convention k = round(q·(n−1)). Exact below the cutover; within
 // the bucket resolution above it. q=0 and q=1 are always exact.
 func (k *KLL) Quantile(q float64) float64 {
+	var out [1]float64
+	return k.Quantiles([]float64{q}, out[:0])[0]
+}
+
+// Quantiles appends the estimate for each q in qs to out and returns
+// the extended slice. It orders the buckets once and answers every q
+// from that one ordering; each estimate is bit-identical to
+// Quantile(q).
+func (k *KLL) Quantiles(qs, out []float64) []float64 {
+	var steps []kllStep // built on the first rank that needs the buckets
+	for _, q := range qs {
+		out = append(out, k.quantile(q, &steps))
+	}
+	return out
+}
+
+// kllStep is one support point of a bucketed sketch in value order:
+// its representative value and the count of observations at or below
+// it.
+type kllStep struct {
+	v   float64
+	cum int64
+}
+
+func (k *KLL) quantile(q float64, steps *[]kllStep) float64 {
 	if k.count == 0 {
 		return 0
 	}
@@ -227,25 +254,34 @@ func (k *KLL) Quantile(q float64) float64 {
 	if rank == k.count-1 {
 		return k.max
 	}
+	if *steps == nil {
+		*steps = k.steps()
+	}
+	s := *steps
+	i := sort.Search(len(s), func(i int) bool { return s[i].cum > rank })
+	if i == len(s) {
+		return k.max
+	}
+	return clampRange(s[i].v, k.min, k.max)
+}
+
+// steps orders a bucketed sketch's buckets by value: negatives, then
+// zero, then positives.
+func (k *KLL) steps() []kllStep {
+	out := make([]kllStep, 0, len(k.neg)+len(k.pos)+1)
 	var c int64
 	negs := sortedBuckets(k.neg)
 	for i := len(negs) - 1; i >= 0; i-- { // descending |v| index = ascending value
 		c += negs[i].n
-		if c > rank {
-			return clampRange(-bucketValue(negs[i].idx), k.min, k.max)
-		}
+		out = append(out, kllStep{-bucketValue(negs[i].idx), c})
 	}
 	c += k.zero
-	if c > rank {
-		return clampRange(0, k.min, k.max)
-	}
+	out = append(out, kllStep{0, c})
 	for _, b := range sortedBuckets(k.pos) {
 		c += b.n
-		if c > rank {
-			return clampRange(bucketValue(b.idx), k.min, k.max)
-		}
+		out = append(out, kllStep{bucketValue(b.idx), c})
 	}
-	return k.max
+	return out
 }
 
 // Merge folds o into k. Merging is associative and commutative in the
