@@ -96,13 +96,16 @@ audit: lint
 
 # Short coverage-guided fuzz budgets for the deterministic-merge
 # invariants — sketch merge (associativity/commutativity vs the union
-# stream) and the serialized round-trips — plus the attacker-facing
-# wire decoders: both /predict_proba bodies (differentially, against
-# encoding/json), the /labels ingestion body, the W3C traceparent
-# header parser (every proxied request runs it), the on-disk segment
-# decoder (which must keep the valid prefix of any torn or corrupted
-# segment file without panicking), and the aggregator's bounded
-# decoder of a remote replica's /federate body.
+# stream), the serialized round-trips, and the timeline window's
+# append-form JSON and in-place merge fold (differentially, against
+# encoding/json and the pairwise merge chain they replaced) — plus the
+# attacker-facing decoders: both /predict_proba bodies (differentially,
+# against encoding/json), the /labels ingestion body, the W3C
+# traceparent header parser (every proxied request runs it), the
+# on-disk segment decoder (which must keep the valid prefix of any torn
+# or corrupted segment file without panicking), the aggregator's
+# bounded decoder of a remote replica's /federate body, and the bounded
+# alert-rule and incident-bundle file loaders.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzKLLRoundTrip -fuzztime 10s ./internal/stats
@@ -111,5 +114,9 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseProbaResponse -fuzztime 10s ./internal/cloud
 	$(GO) test -run NONE -fuzz FuzzLabelsDecode -fuzztime 10s ./internal/labels
 	$(GO) test -run NONE -fuzz FuzzTraceparentParse -fuzztime 10s ./internal/obs
+	$(GO) test -run NONE -fuzz FuzzWindowJSON -fuzztime 10s ./internal/obs
+	$(GO) test -run NONE -fuzz FuzzWindowFold -fuzztime 10s ./internal/obs
+	$(GO) test -run NONE -fuzz FuzzLoadRules -fuzztime 10s ./internal/obs/alert
+	$(GO) test -run NONE -fuzz FuzzLoadBundle -fuzztime 10s ./internal/obs/incident
 	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/obs/tsdb
 	$(GO) test -run NONE -fuzz FuzzFederateDecode -fuzztime 10s ./internal/fed

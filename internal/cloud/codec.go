@@ -42,6 +42,7 @@ import (
 
 	"blackboxval/internal/data"
 	"blackboxval/internal/frame"
+	"blackboxval/internal/jsonenc"
 	"blackboxval/internal/linalg"
 )
 
@@ -838,7 +839,7 @@ func appendRequest(b []byte, ds *data.Dataset) ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			if b, err = appendFloats(b, px); err != nil {
+			if b, err = jsonenc.AppendFloats(b, px); err != nil {
 				return nil, err
 			}
 		}
@@ -862,7 +863,7 @@ func appendRequest(b []byte, ds *data.Dataset) ([]byte, error) {
 }
 
 func appendColumn(b []byte, c *frame.Column) ([]byte, error) {
-	b = appendString(append(b, `{"name":`...), c.Name)
+	b = jsonenc.AppendString(append(b, `{"name":`...), c.Name)
 	switch c.Kind {
 	case frame.Numeric:
 		b = append(b, `,"kind":"numeric"`...)
@@ -877,7 +878,7 @@ func appendColumn(b []byte, c *frame.Column) ([]byte, error) {
 					continue
 				}
 				var err error
-				if b, err = appendFloat(b, v); err != nil {
+				if b, err = jsonenc.AppendFloat(b, v); err != nil {
 					return nil, err
 				}
 			}
@@ -895,7 +896,7 @@ func appendColumn(b []byte, c *frame.Column) ([]byte, error) {
 				if i > 0 {
 					b = append(b, ',')
 				}
-				b = appendString(b, s)
+				b = jsonenc.AppendString(b, s)
 			}
 			b = append(b, ']')
 		}
@@ -920,68 +921,13 @@ func appendResponse(b []byte, proba *linalg.Matrix) ([]byte, error) {
 			continue
 		}
 		var err error
-		if b, err = appendFloats(b, proba.Row(i)); err != nil {
+		if b, err = jsonenc.AppendFloats(b, proba.Row(i)); err != nil {
 			return nil, err
 		}
 	}
 	b = append(b, `],"num_classes":`...)
 	b = strconv.AppendInt(b, int64(proba.Cols), 10)
 	return append(b, '}', '\n'), nil
-}
-
-// appendFloats appends a float array; a nil slice is null.
-func appendFloats(b []byte, vs []float64) ([]byte, error) {
-	if vs == nil {
-		return append(b, "null"...), nil
-	}
-	b = append(b, '[')
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = appendFloat(b, v); err != nil {
-			return nil, err
-		}
-	}
-	return append(b, ']'), nil
-}
-
-// appendFloat formats v as encoding/json does: ES6 number-to-string,
-// 'f' for 1e-6 <= |v| < 1e21 and 'e' (exponent without zero padding)
-// outside it. NaN and ±Inf are errors.
-func appendFloat(b []byte, v float64) ([]byte, error) {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' { // e-07 -> e-7
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
-}
-
-// appendString appends s as a JSON string. Printable ASCII other than
-// the characters encoding/json escapes ("\<>&) is copied as is; any
-// other string is encoded by encoding/json itself, so its escaping
-// cannot differ.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // --- bodies -----------------------------------------------------------

@@ -5,8 +5,8 @@ package gateway
 // (canned-response backend, real monitor shadow tap with the raw-row
 // decoder cmd/ppm-gateway wires — the same protocol as the serving
 // benchmark in internal/experiments) and fails when the per-request
-// allocation count blows past the budget. The budget is a flat 700
-// allocs/op, ~2.2x the measured 299–315: with no per-row term, a
+// allocation count blows past the budget. The budget is a flat 450
+// allocs/op, ~1.6x the measured 275–283: with no per-row term, a
 // single accidental per-row allocation anywhere on the path (request
 // read, relay, response parse, the tap's request decode) adds 899
 // allocs for the 899-row fixture and fails the gate.
@@ -86,7 +86,7 @@ func TestServingAllocGate(t *testing.T) {
 
 	// Budget: flat, for the client, the gateway and the shadow tap
 	// combined (AllocsPerOp counts process-wide mallocs).
-	const limit = 700
+	const limit = 450
 	t.Logf("serving hot path: %d allocs/op over %d rows (%.2f/row), %d B/op, %.3fms/op, gate %d allocs/op",
 		br.AllocsPerOp(), rows, float64(br.AllocsPerOp())/float64(rows),
 		br.AllocedBytesPerOp(), float64(br.NsPerOp())/1e6, limit)

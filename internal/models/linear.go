@@ -75,6 +75,7 @@ func (s *SGDClassifier) Fit(X *linalg.Matrix, y []int, classes int) error {
 	}
 	gradW := linalg.NewMatrix(d, classes)
 	gradB := make([]float64, classes)
+	probs := make([]float64, classes)
 	for epoch := 0; epoch < s.Epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		lr := s.LearningRate / (1 + 0.02*float64(epoch))
@@ -92,7 +93,7 @@ func (s *SGDClassifier) Fit(X *linalg.Matrix, y []int, classes int) error {
 			}
 			for _, r := range batch {
 				row := X.Row(r)
-				probs := s.logits(row)
+				s.logits(probs, row)
 				softmaxInPlace(probs)
 				for c := 0; c < classes; c++ {
 					g := probs[c]
@@ -137,11 +138,10 @@ func (s *SGDClassifier) Fit(X *linalg.Matrix, y []int, classes int) error {
 	return nil
 }
 
-// logits computes the raw scores for a single example, clamping to a safe
-// range so corrupted inputs (e.g. scaled by 1000x) yield saturated
-// probabilities instead of NaN.
-func (s *SGDClassifier) logits(row []float64) []float64 {
-	out := make([]float64, s.classes)
+// logits writes the raw scores for a single example into out (one slot
+// per class), clamping to a safe range so corrupted inputs (e.g. scaled
+// by 1000x) yield saturated probabilities instead of NaN.
+func (s *SGDClassifier) logits(out, row []float64) {
 	copy(out, s.bias)
 	for f, xv := range row {
 		if xv == 0 {
@@ -155,7 +155,6 @@ func (s *SGDClassifier) logits(row []float64) []float64 {
 	for c, v := range out {
 		out[c] = clampLogit(v)
 	}
-	return out
 }
 
 func clampLogit(v float64) float64 {
@@ -194,9 +193,9 @@ func softmaxInPlace(xs []float64) {
 func (s *SGDClassifier) PredictProba(X *linalg.Matrix) *linalg.Matrix {
 	out := linalg.NewMatrix(X.Rows, s.classes)
 	for i := 0; i < X.Rows; i++ {
-		probs := s.logits(X.Row(i))
+		probs := out.Row(i)
+		s.logits(probs, X.Row(i))
 		softmaxInPlace(probs)
-		copy(out.Row(i), probs)
 	}
 	return out
 }

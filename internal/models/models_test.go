@@ -376,3 +376,21 @@ func TestAccuracyHelper(t *testing.T) {
 		t.Fatal("accuracy wrong")
 	}
 }
+
+// TestSGDClassifierAllocsPerBatch pins the lr model's per-row
+// allocation: the logits are computed into the output row (Fit: one
+// scratch row), so neither call allocates per example.
+func TestSGDClassifierAllocsPerBatch(t *testing.T) {
+	X, y, _ := benchData(500, 40, 3)
+	clf := &SGDClassifier{Epochs: 2, Seed: 1}
+	if got := testing.AllocsPerRun(3, func() {
+		if err := clf.Fit(X, y, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 20 {
+		t.Fatalf("Fit on 500 rows: %.0f allocs, want a constant (<= 20)", got)
+	}
+	if got := testing.AllocsPerRun(3, func() { clf.PredictProba(X) }); got > 4 {
+		t.Fatalf("PredictProba on 500 rows: %.0f allocs, want a constant (<= 4)", got)
+	}
+}

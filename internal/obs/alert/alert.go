@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"os"
 	"sync"
 	"time"
 
@@ -332,12 +331,13 @@ type rulesFile struct {
 	Rules []Rule `json:"rules"`
 }
 
-// LoadRules reads alert rules from a JSON file. Both shapes parse:
+// LoadRules reads alert rules from a JSON file of at most
+// obs.MaxFileBytes. Both shapes parse:
 //
 //	[{"name": "estimate_low", "series": "estimate", "op": "<", ...}]
 //	{"rules": [...]}
 func LoadRules(path string) ([]Rule, error) {
-	buf, err := os.ReadFile(path)
+	buf, err := obs.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("alert: reading rules: %w", err)
 	}

@@ -290,10 +290,11 @@ func (b *Bundle) Markdown() string {
 	return w.String()
 }
 
-// LoadBundle reads one bundle JSON file, as written by the retention
-// ring (used by ppm-diagnose).
+// LoadBundle reads one bundle JSON file of at most obs.MaxFileBytes, as
+// written by the retention ring (used by ppm-diagnose and the
+// recorder's reload of its directory).
 func LoadBundle(path string) (*Bundle, error) {
-	raw, err := os.ReadFile(path)
+	raw, err := obs.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("incident: %w", err)
 	}

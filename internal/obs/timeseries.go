@@ -110,12 +110,14 @@ type Window struct {
 	Series map[string]Aggregate `json:"series"`
 }
 
-// openSeries accumulates one series of the currently open window.
+// openSeries accumulates one series of the currently open window. It
+// outlives the window: closing hands the window exact-size copies of
+// the sum and sketch and resets them in place for the next one.
 type openSeries struct {
 	count          int
 	min, max, last float64
-	sum            *stats.ExactSum
-	sketch         *stats.KLL
+	sum            stats.ExactSum
+	sketch         stats.KLL
 }
 
 // TimeSeries is the windowed drift timeline store. It is safe for
@@ -123,10 +125,12 @@ type openSeries struct {
 // Windows. Window-close hooks run synchronously on the committing
 // goroutine, after the store's own lock is released.
 type TimeSeries struct {
-	cfg TimeSeriesConfig
+	cfg   TimeSeriesConfig
+	qkeys []string // map keys of cfg.Quantiles
 
 	mu        sync.Mutex
 	open      map[string]*openSeries
+	recorded  int // series with a sample in the open window
 	openStart time.Time
 	batches   int
 	next      int64 // index assigned to the next closed window
@@ -142,14 +146,14 @@ func NewTimeSeries(cfg TimeSeriesConfig) (*TimeSeries, error) {
 			return nil, fmt.Errorf("obs: timeline quantile %v out of (0,100)", q)
 		}
 	}
-	return &TimeSeries{cfg: cfg, open: map[string]*openSeries{}}, nil
+	return &TimeSeries{cfg: cfg, qkeys: quantileKeys(cfg.Quantiles), open: map[string]*openSeries{}}, nil
 }
 
 // Record adds one sample to the named series of the open window.
 func (ts *TimeSeries) Record(series string, v float64) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.recordLocked(series, v)
+	ts.addLocked(ts.seriesLocked(series), v)
 }
 
 // RecordAll adds a batch of samples to the named series under a single
@@ -161,19 +165,29 @@ func (ts *TimeSeries) RecordAll(series string, vs []float64) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	s := ts.seriesLocked(series)
 	for _, v := range vs {
-		ts.recordLocked(series, v)
+		ts.addLocked(s, v)
 	}
 }
 
-func (ts *TimeSeries) recordLocked(series string, v float64) {
+// seriesLocked returns the named series' accumulator, creating it on
+// first use.
+func (ts *TimeSeries) seriesLocked(series string) *openSeries {
+	s := ts.open[series]
+	if s == nil {
+		s = new(openSeries)
+		ts.open[series] = s
+	}
+	return s
+}
+
+func (ts *TimeSeries) addLocked(s *openSeries, v float64) {
 	if ts.openStart.IsZero() {
 		ts.openStart = time.Now()
 	}
-	s := ts.open[series]
-	if s == nil {
-		s = &openSeries{sum: stats.NewExactSum(), sketch: stats.NewKLL()}
-		ts.open[series] = s
+	if s.count == 0 {
+		ts.recorded++
 	}
 	if s.count == 0 || v < s.min {
 		s.min = v
@@ -209,7 +223,7 @@ func (ts *TimeSeries) Commit() {
 // the window holds no commits and no samples.
 func (ts *TimeSeries) CloseWindow() (Window, bool) {
 	ts.mu.Lock()
-	if ts.batches == 0 && len(ts.open) == 0 {
+	if ts.batches == 0 && ts.recorded == 0 {
 		ts.mu.Unlock()
 		return Window{}, false
 	}
@@ -229,42 +243,54 @@ func (ts *TimeSeries) closeLocked() (Window, []func(Window)) {
 		Start:   ts.openStart,
 		End:     time.Now(),
 		Batches: ts.batches,
-		Series:  make(map[string]Aggregate, len(ts.open)),
+		Series:  make(map[string]Aggregate, ts.recorded),
 	}
 	if w.Start.IsZero() {
 		w.Start = w.End
 	}
 	for name, s := range ts.open {
-		// The open map is reset below, so the accumulator and sketch
-		// transfer into the immutable window without copying.
-		agg := Aggregate{
+		if s.count == 0 {
+			// Idle for a whole window: let the accumulator go, so the
+			// map holds only series recorded in the last two windows.
+			delete(ts.open, name)
+			continue
+		}
+		// The window gets its own copies: it is immutable once closed,
+		// and the accumulator is reset in place for the next window.
+		w.Series[name] = Aggregate{
 			Count: s.count, Sum: s.sum.Value(), Min: s.min, Max: s.max, Last: s.last,
-			SumExact: s.sum, Sketch: s.sketch,
+			Quantiles: quantileMap(&s.sketch, ts.cfg.Quantiles, ts.qkeys),
+			SumExact:  s.sum.Clone(), Sketch: s.sketch.Clone(),
 		}
-		if s.count > 0 {
-			agg.Quantiles = quantileMap(s.sketch, ts.cfg.Quantiles)
-		}
-		w.Series[name] = agg
+		s.count = 0
+		s.sum.Reset()
+		s.sketch.Reset()
 	}
 	ts.next++
 	ts.ring = append(ts.ring, w)
 	if len(ts.ring) > ts.cfg.Capacity {
 		ts.ring = ts.ring[len(ts.ring)-ts.cfg.Capacity:]
 	}
-	ts.open = map[string]*openSeries{}
+	ts.recorded = 0
 	ts.openStart = time.Time{}
 	ts.batches = 0
 	return w, ts.hooks
 }
 
-// quantileKey renders a percentile as its JSON key ("p50", "p99.9").
-func quantileKey(q float64) string {
-	return fmt.Sprintf("p%g", q)
+// quantileKeys renders each percentile of a grid as its JSON key
+// ("p50", "p99.9").
+func quantileKeys(percentiles []float64) []string {
+	keys := make([]string, len(percentiles))
+	for i, q := range percentiles {
+		keys[i] = fmt.Sprintf("p%g", q)
+	}
+	return keys
 }
 
-// quantileMap reads the percentiles (in (0,100)) off sk, keyed by
-// quantileKey. One ordering of the sketch's buckets answers them all.
-func quantileMap(sk *stats.KLL, percentiles []float64) map[string]float64 {
+// quantileMap reads the percentiles (in (0,100)) off sk, keyed by keys
+// (quantileKeys of the grid). One ordering of the sketch's buckets
+// answers them all.
+func quantileMap(sk *stats.KLL, percentiles []float64, keys []string) map[string]float64 {
 	var fracBuf, valBuf [8]float64
 	fracs := fracBuf[:0]
 	for _, q := range percentiles {
@@ -272,8 +298,8 @@ func quantileMap(sk *stats.KLL, percentiles []float64) map[string]float64 {
 	}
 	vals := sk.Quantiles(fracs, valBuf[:0])
 	out := make(map[string]float64, len(percentiles))
-	for i, q := range percentiles {
-		out[quantileKey(q)] = vals[i]
+	for i, key := range keys {
+		out[key] = vals[i]
 	}
 	return out
 }

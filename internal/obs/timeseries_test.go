@@ -252,3 +252,62 @@ func TestTimeSeriesConcurrentScrape(t *testing.T) {
 		t.Fatalf("ring length = %d, want 16 (capacity)", got)
 	}
 }
+
+// TestTimeSeriesClosedWindowsStayImmutable pins the persistent
+// accumulators: a series' sum and sketch outlive each window close, so
+// the closed window must hold its own copies. Later Record calls never
+// reach an already closed window, every window equals what a fresh
+// store fed only its samples would close, and an idle series neither
+// appears in a window nor makes an empty window closable.
+func TestTimeSeriesClosedWindowsStayImmutable(t *testing.T) {
+	ts, err := NewTimeSeries(TimeSeriesConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(ts *TimeSeries, round int) {
+		for i := 0; i < 150; i++ { // past the sketch's exact regime
+			ts.Record("proba", float64((i*7+round)%50)/49)
+		}
+		ts.Record("estimate", 0.5+float64(round)/10)
+		if round == 0 {
+			ts.Record("only_first", 3)
+		}
+	}
+	var closed []Window
+	var snapshots []string
+	for round := 0; round < 3; round++ {
+		feed(ts, round)
+		ts.Commit()
+		w, _ := ts.Last()
+		closed = append(closed, w)
+		snapshots = append(snapshots, dumpWindow(t, w))
+
+		fresh, err := NewTimeSeries(TimeSeriesConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(fresh, round)
+		fresh.Commit()
+		want, _ := fresh.Last()
+		want.Index = w.Index
+		if got, want := dumpWindow(t, w), dumpWindow(t, want); got != want {
+			t.Fatalf("window %d carries state across the close:\n got %s\nwant %s", round, got, want)
+		}
+	}
+	if _, ok := closed[1].Series["only_first"]; ok {
+		t.Fatal("a series idle for a whole window appears in it")
+	}
+	for i := 0; i < 500; i++ {
+		ts.Record("proba", -float64(i))
+		ts.Record("estimate", 9)
+	}
+	for i, w := range closed {
+		if got := dumpWindow(t, w); got != snapshots[i] {
+			t.Fatalf("recording into the open window changed closed window %d:\n got %s\nwant %s", i, got, snapshots[i])
+		}
+	}
+	ts.Commit()
+	if _, ok := ts.CloseWindow(); ok {
+		t.Fatal("a window with no commits and no samples closed")
+	}
+}

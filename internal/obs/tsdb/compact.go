@@ -2,13 +2,19 @@ package tsdb
 
 // compact.go: deterministic downsampling. Old raw windows are folded
 // into one record per K-aligned index bucket [b*K, (b+1)*K) by
-// obs.MergeWindowSet — the same associative merge the federation layer
-// uses — so the compacted record is a pure function of the raw windows
-// in the bucket, independent of when (or in how many passes) compaction
-// ran. That is the associativity contract of DESIGN.md §8/§13 extended
-// to the time axis (§17): eager, lazy and randomized compaction
-// schedules produce bit-identical canonical JSON, which the determinism
-// suite asserts.
+// obs.WindowFold — the merge behind obs.MergeWindowSet, which the
+// federation layer uses — so the compacted record is a pure function of
+// the raw windows in the bucket, independent of when (or in how many
+// passes) compaction ran. The fold runs at append time: each persisted
+// raw window is folded, in place, into its bucket's pending fold, and
+// compaction writes the sealed buckets' folds, so a segment roll costs
+// one record per bucket and reads nothing back. The disk is read only
+// at Open, for queries, and when retention deletes raw windows that are
+// not compacted yet, so a bucket's fold is always the fold of the raw
+// windows on disk. That is the associativity contract of DESIGN.md
+// §8/§13 extended to the time axis (§17): eager, lazy and randomized
+// compaction schedules produce bit-identical canonical JSON, which the
+// determinism suite asserts.
 //
 // Eligibility keeps the contract schedule-free: a bucket compacts only
 // when it is sealed — every index it covers is (a) in a closed segment
@@ -40,8 +46,56 @@ func (db *DB) Compact() {
 	db.retainLocked()
 }
 
-// compactLocked folds every sealed, not-yet-compacted bucket into a new
-// level-1 segment.
+// pendingBucket is the running fold of one K-aligned bucket's raw
+// windows, in append order.
+type pendingBucket struct {
+	start int64
+	fold  obs.WindowFold
+}
+
+// foldLocked folds a persisted raw window into its bucket's pending
+// fold. A bucket starting below compactedThrough is never emitted
+// (compaction resumes at the first bucket at or above it), so its
+// windows are not folded.
+func (db *DB) foldLocked(w obs.Window) {
+	k := int64(db.cfg.Downsample)
+	if k <= 1 {
+		return
+	}
+	b := w.Index / k * k
+	if b < db.compactedThrough {
+		return
+	}
+	// Compare wall clocks, as a window decoded from disk does.
+	w.Start, w.End = w.Start.Round(0), w.End.Round(0)
+	n := len(db.pending)
+	if n == 0 || db.pending[n-1].start != b {
+		p := &pendingBucket{}
+		if m := len(db.spare); m > 0 { // reuse an emitted fold's accumulators
+			p, db.spare = db.spare[m-1], db.spare[:m-1]
+		}
+		p.start = b
+		db.pending = append(db.pending, p)
+		n++
+	}
+	db.pending[n-1].fold.Add(w)
+}
+
+// rebuildPendingLocked refolds the pending buckets from the raw records
+// on disk at or above compactedThrough — at Open, and after retention
+// deleted uncompacted raw windows.
+func (db *DB) rebuildPendingLocked() {
+	db.pending, db.spare = nil, nil
+	if db.cfg.Downsample <= 1 || db.lastIndex < db.compactedThrough {
+		return
+	}
+	for _, e := range db.loadEntriesLocked(db.compactedThrough, db.lastIndex) {
+		db.foldLocked(e.Window)
+	}
+}
+
+// compactLocked writes every sealed, not-yet-compacted bucket's fold to
+// a new level-1 segment.
 func (db *DB) compactLocked() {
 	k := int64(db.cfg.Downsample)
 	if k <= 1 {
@@ -64,26 +118,12 @@ func (db *DB) compactLocked() {
 	if start >= bucketEnd {
 		return
 	}
-	raw := db.loadEntriesLocked(start, bucketEnd-1, true)
-	var out []Entry
-	var folded uint64
-	for b := start; b < bucketEnd; b += k {
-		var ws []obs.Window
-		for _, e := range raw {
-			if e.Window.Index >= b && e.Window.Index < b+k {
-				ws = append(ws, e.Window)
-			}
-		}
-		if len(ws) == 0 {
-			continue // an empty bucket never becomes a record
-		}
-		merged, _ := obs.MergeWindowSet(ws, db.cfg.Quantiles)
-		merged.Index = b
-		out = append(out, Entry{Span: k, Windows: int64(len(ws)), Window: merged})
-		folded += uint64(len(ws))
+	sealed := 0
+	for sealed < len(db.pending) && db.pending[sealed].start < bucketEnd {
+		sealed++
 	}
-	if len(out) > 0 {
-		info, err := db.writeCompactedLocked(out)
+	if sealed > 0 { // an empty bucket never becomes a record
+		info, folded, err := db.writeCompactedLocked(db.pending[:sealed])
 		if err != nil {
 			db.cfg.Logger.Warn("tsdb: compaction failed", "err", err)
 			return
@@ -91,32 +131,52 @@ func (db *DB) compactLocked() {
 		db.segments = append(db.segments, info)
 		db.compactions.Add(1)
 		db.compactedWindows.Add(folded)
+		for _, p := range db.pending[:sealed] {
+			p.fold.Reset()
+			db.spare = append(db.spare, p)
+		}
+		rest := copy(db.pending, db.pending[sealed:])
+		clear(db.pending[rest:])
+		db.pending = db.pending[:rest]
 	}
 	db.compactedThrough = bucketEnd
 	db.dropShadowedLocked()
 }
 
-// writeCompactedLocked durably writes one level-1 segment: complete
-// temp file, fsync, atomic rename.
-func (db *DB) writeCompactedLocked(entries []Entry) (*segmentInfo, error) {
+// writeCompactedLocked durably writes one level-1 segment holding one
+// record per bucket: complete temp file, fsync, atomic rename. It
+// returns the segment and the number of raw windows it folds.
+func (db *DB) writeCompactedLocked(buckets []*pendingBucket) (*segmentInfo, uint64, error) {
 	seq := db.nextSeq
 	db.nextSeq++
 	path := filepath.Join(db.cfg.Dir, segmentName(1, seq))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	info := &segmentInfo{path: path, level: 1, seq: seq}
-	buf := []byte(segmentMagic)
-	for _, e := range entries {
-		rec, err := encodeRecord(e)
+	fail := func(err error) (*segmentInfo, uint64, error) {
+		f.Close()
+		os.Remove(tmp)
+		return nil, 0, err
+	}
+	info := &segmentInfo{path: path, level: 1, seq: seq, bytes: int64(len(segmentMagic))}
+	if _, err := f.WriteString(segmentMagic); err != nil {
+		return fail(err)
+	}
+	var folded uint64
+	for _, p := range buckets {
+		w, _ := p.fold.Window(db.cfg.Quantiles)
+		w.Index = p.start
+		e := Entry{Span: int64(db.cfg.Downsample), Windows: int64(p.fold.Len()), Window: w}
+		rec, err := appendRecord(db.buf[:0], e)
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return nil, err
+			return fail(err)
 		}
-		buf = append(buf, rec...)
+		db.buf = rec
+		if _, err := f.Write(rec); err != nil {
+			return fail(err)
+		}
 		if info.records == 0 || e.Window.Index < info.minIndex {
 			info.minIndex = e.Window.Index
 		}
@@ -127,25 +187,19 @@ func (db *DB) writeCompactedLocked(entries []Entry) (*segmentInfo, error) {
 			info.maxEnd = e.Window.End
 		}
 		info.records++
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
+		info.bytes += int64(len(rec))
+		folded += uint64(e.Windows)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return nil, err
+		return nil, 0, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return nil, err
+		return nil, 0, err
 	}
-	info.bytes = int64(len(buf))
-	return info, nil
+	return info, folded, nil
 }

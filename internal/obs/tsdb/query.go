@@ -40,11 +40,10 @@ type Point struct {
 // loadEntriesLocked reads every effective record overlapping the index
 // range [from, to], sorted by window index. Level-0 records below the
 // compactedThrough watermark are shadowed duplicates of a level-1
-// bucket and are skipped. rawOnly restricts the scan to raw (span 1,
-// level 0) records — the compaction input. The active segment is
-// included: its records were complete single writes, so the page cache
-// serves them back consistently.
-func (db *DB) loadEntriesLocked(from, to int64, rawOnly bool) []Entry {
+// bucket and are skipped. The active segment is included: its records
+// were complete single writes, so the page cache serves them back
+// consistently.
+func (db *DB) loadEntriesLocked(from, to int64) []Entry {
 	if to < from {
 		return nil
 	}
@@ -56,9 +55,6 @@ func (db *DB) loadEntriesLocked(from, to int64, rawOnly bool) []Entry {
 	var out []Entry
 	for _, info := range infos {
 		if info.records == 0 || info.minIndex > to || info.endIndex <= from {
-			continue
-		}
-		if rawOnly && info.level != 0 {
 			continue
 		}
 		data, err := os.ReadFile(info.path)
@@ -88,7 +84,7 @@ func (db *DB) Entries(from, to int64) []Entry {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.queries.Add(1)
-	return db.loadEntriesLocked(from, to, false)
+	return db.loadEntriesLocked(from, to)
 }
 
 // Bounds reports the lowest and highest window index with persisted

@@ -4,12 +4,13 @@ package tsdb
 // file of framed records; each record is the canonical JSON of an Entry
 // (one persisted timeline window, raw or compacted) guarded by a CRC32
 // so a torn tail from a crash mid-write is detected and skipped rather
-// than poisoning the read path. The JSON payload is canonical because
-// encoding/json emits struct fields in declaration order and map keys
-// sorted, and the sketch/exact-sum fields marshal via their own
-// canonical encoders (DESIGN.md §8) — so byte equality of records is
-// equality of the persisted windows, which is what the compaction
-// determinism suite asserts.
+// than poisoning the read path. The JSON payload is canonical: it is
+// the bytes encoding/json writes for the Entry (struct fields in
+// declaration order, map keys sorted, the sketch/exact-sum fields in
+// their own canonical encodings, DESIGN.md §8), appended without
+// reflection, so byte equality of records is equality of the persisted
+// windows, which is what the compaction determinism suite asserts.
+// Records are decoded with encoding/json, at open and for queries.
 //
 // Layout:
 //
@@ -56,17 +57,26 @@ type Entry struct {
 // end returns the exclusive end of the index range the entry covers.
 func (e Entry) end() int64 { return e.Window.Index + e.Span }
 
-// encodeRecord frames one entry for appending to a segment.
-func encodeRecord(e Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
+// appendRecord frames one entry onto b: the header, then the payload,
+// byte for byte the json.Marshal of the entry (obs.Window.AppendJSON
+// writes the window without reflection).
+func appendRecord(b []byte, e Entry) ([]byte, error) {
+	off := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
+	b = append(b, `{"span":`...)
+	b = strconv.AppendInt(b, e.Span, 10)
+	b = append(b, `,"windows":`...)
+	b = strconv.AppendInt(b, e.Windows, 10)
+	b = append(b, `,"window":`...)
+	b, err := e.Window.AppendJSON(b)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: encode window %d: %w", e.Window.Index, err)
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	return buf, nil
+	b = append(b, '}')
+	payload := b[off+8:]
+	binary.LittleEndian.PutUint32(b[off:off+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[off+4:off+8], crc32.ChecksumIEEE(payload))
+	return b, nil
 }
 
 // decodeSegment parses a whole segment file. It returns every record of

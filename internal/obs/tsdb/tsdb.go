@@ -114,6 +114,16 @@ type DB struct {
 	// compactedThrough shadows raw records: every level-0 record with
 	// index below it has been folded into a level-1 bucket.
 	compactedThrough int64
+	// pending holds, oldest first, one fold per K-aligned bucket of the
+	// persisted raw windows at or above compactedThrough; compaction
+	// writes the sealed buckets from here.
+	pending []*pendingBucket
+	spare   []*pendingBucket // emitted folds, reset for reuse
+	// buf is the one buffer raw and compacted records are framed in.
+	buf []byte
+	// writeRecord writes one framed record to the active segment (a
+	// seam for injecting short writes in tests).
+	writeRecord func(f *os.File, rec []byte) (int, error)
 
 	appended         atomic.Uint64
 	appendErrors     atomic.Uint64
@@ -146,6 +156,7 @@ func Open(cfg Config) (*DB, error) {
 	if err := db.openSegmentLocked(); err != nil {
 		return nil, err
 	}
+	db.rebuildPendingLocked()
 	db.retainLocked()
 	return db, nil
 }
@@ -174,7 +185,7 @@ func scan(cfg Config) (*DB, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: %w", err)
 	}
-	db := &DB{cfg: cfg, lastIndex: -1}
+	db := &DB{cfg: cfg, lastIndex: -1, writeRecord: (*os.File).Write}
 	names, err := filepath.Glob(filepath.Join(cfg.Dir, "seg-L*.seg"))
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: %w", err)
@@ -244,11 +255,14 @@ func (db *DB) openSegmentLocked() error {
 // errors are counted and logged, never returned, so a full disk can't
 // take the serving path down with it. Windows must arrive in increasing
 // index order (the timeline closes them that way); stragglers at or
-// below the high-water mark are dropped.
+// below the high-water mark are dropped. A failed write seals the
+// active segment where it tore (its valid prefix stays readable) and
+// later windows go to a fresh one, so no window lands behind a torn
+// frame.
 func (db *DB) Append(w obs.Window) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed || db.active == nil {
+	if db.closed {
 		return
 	}
 	if w.Index <= db.lastIndex {
@@ -256,22 +270,43 @@ func (db *DB) Append(w obs.Window) {
 		db.cfg.Logger.Warn("tsdb: out-of-order window dropped", "index", w.Index, "last", db.lastIndex)
 		return
 	}
-	rec, err := encodeRecord(Entry{Span: 1, Windows: 1, Window: w})
+	if db.active == nil { // an earlier seal or open failed
+		if err := db.openSegmentLocked(); err != nil {
+			db.appendErrors.Add(1)
+			db.cfg.Logger.Warn("tsdb: append failed", "err", err)
+			return
+		}
+	}
+	e := Entry{Span: 1, Windows: 1, Window: w}
+	rec, err := appendRecord(db.buf[:0], e)
 	if err != nil {
 		db.appendErrors.Add(1)
 		db.cfg.Logger.Warn("tsdb: append failed", "err", err)
 		return
 	}
+	db.buf = rec
 	if db.actInfo.records > 0 && db.actInfo.bytes+int64(len(rec)) > db.cfg.SegmentBytes {
 		if err := db.rotateLocked(); err != nil {
 			db.appendErrors.Add(1)
 			db.cfg.Logger.Warn("tsdb: segment rotation failed", "err", err)
 			return
 		}
+		// Compaction framed its records in the same buffer; the window
+		// encoded once, so it encodes again.
+		rec, _ = appendRecord(db.buf[:0], e)
+		db.buf = rec
 	}
-	if _, err := db.active.Write(rec); err != nil {
+	n, err := db.writeRecord(db.active, rec)
+	if err != nil {
 		db.appendErrors.Add(1)
-		db.cfg.Logger.Warn("tsdb: append failed", "err", err)
+		db.cfg.Logger.Warn("tsdb: append failed; sealing the segment", "err", err, "path", db.actInfo.path)
+		db.actInfo.bytes += int64(n)
+		if err := db.sealActiveLocked(); err != nil {
+			db.cfg.Logger.Warn("tsdb: sealing torn segment failed", "err", err)
+		}
+		if err := db.openSegmentLocked(); err != nil {
+			db.cfg.Logger.Warn("tsdb: opening segment failed", "err", err)
+		}
 		return
 	}
 	if db.actInfo.records == 0 {
@@ -285,6 +320,7 @@ func (db *DB) Append(w obs.Window) {
 	}
 	db.lastIndex = w.Index
 	db.appended.Add(1)
+	db.foldLocked(w)
 }
 
 // rotateLocked seals the active segment and starts a fresh one, then
@@ -340,7 +376,10 @@ func (db *DB) dropShadowedLocked() {
 }
 
 // retainLocked enforces the size and age bounds over closed segments,
-// oldest data first. The active segment is never deleted.
+// oldest data first. The active segment is never deleted. Deleting a
+// raw segment that still holds uncompacted windows rebuilds the pending
+// folds from the raw records that remain, so compaction still folds
+// exactly what is on disk.
 func (db *DB) retainLocked() {
 	if len(db.segments) == 0 {
 		return
@@ -353,7 +392,10 @@ func (db *DB) retainLocked() {
 		}
 		return a.seq < b.seq
 	})
-	total := db.actInfo.bytes
+	var total int64
+	if db.actInfo != nil {
+		total = db.actInfo.bytes
+	}
 	for _, info := range db.segments {
 		total += info.bytes
 	}
@@ -361,6 +403,7 @@ func (db *DB) retainLocked() {
 	if db.cfg.Retention > 0 {
 		cutoff = time.Now().Add(-db.cfg.Retention)
 	}
+	lostRaw := false
 	kept := db.segments[:0]
 	for _, info := range db.segments {
 		expired := !cutoff.IsZero() && info.records > 0 && info.maxEnd.Before(cutoff)
@@ -371,11 +414,17 @@ func (db *DB) retainLocked() {
 			db.retentionDeletes.Add(1)
 			db.cfg.Logger.Info("tsdb: segment dropped by retention", "path", info.path,
 				"expired", expired, "oversize", oversize)
+			if info.level == 0 && info.records > 0 && info.endIndex > db.compactedThrough {
+				lostRaw = true
+			}
 			continue
 		}
 		kept = append(kept, info)
 	}
 	db.segments = kept
+	if lostRaw {
+		db.rebuildPendingLocked()
+	}
 }
 
 // Close seals the active segment. Further appends are dropped.

@@ -127,6 +127,9 @@ func (s *ExactSum) Merge(o *ExactSum) {
 	s.ninf = s.ninf || o.ninf
 }
 
+// Reset zeroes the accumulator in place.
+func (s *ExactSum) Reset() { *s = ExactSum{} }
+
 // Clone returns a deep copy.
 func (s *ExactSum) Clone() *ExactSum {
 	c := *s
@@ -239,8 +242,10 @@ type sumLimbJSON struct {
 	V string `json:"v"` // hex, no leading zeros
 }
 
-// exactSumJSON is the canonical sign-magnitude wire form: identical
-// accumulator states always serialize to identical bytes.
+// exactSumJSON is the canonical sign-magnitude wire form, decoded by
+// UnmarshalJSON and written field for field, in this order, by
+// AppendJSON: identical accumulator states always serialize to
+// identical bytes.
 type exactSumJSON struct {
 	Neg   bool          `json:"neg,omitempty"`
 	Limbs []sumLimbJSON `json:"limbs,omitempty"`
@@ -251,19 +256,57 @@ type exactSumJSON struct {
 
 // MarshalJSON encodes the accumulator as sign + sparse magnitude limbs
 // (ascending limb index), a canonical deterministic form.
-func (s *ExactSum) MarshalJSON() ([]byte, error) {
-	out := exactSumJSON{NaN: s.nan, PInf: s.pinf, NInf: s.ninf}
+func (s *ExactSum) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil), nil }
+
+// AppendJSON appends the canonical JSON of the accumulator to b: the
+// bytes encoding/json writes for exactSumJSON.
+func (s *ExactSum) AppendJSON(b []byte) []byte {
 	mag := s.limbs
-	if s.negative() {
-		out.Neg = true
+	neg := s.negative()
+	if neg {
 		negateLimbs(&mag)
 	}
-	for i, v := range mag {
-		if v != 0 {
-			out.Limbs = append(out.Limbs, sumLimbJSON{I: i, V: strconv.FormatUint(v, 16)})
+	b = append(b, '{')
+	open := len(b)
+	field := func(name string) {
+		if len(b) > open {
+			b = append(b, ',')
 		}
+		b = append(b, name...)
 	}
-	return json.Marshal(out)
+	if neg {
+		field(`"neg":true`)
+	}
+	limbs := false
+	for i, v := range mag {
+		if v == 0 {
+			continue
+		}
+		if !limbs {
+			field(`"limbs":[`)
+			limbs = true
+		} else {
+			b = append(b, ',')
+		}
+		b = append(b, `{"i":`...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `,"v":"`...)
+		b = strconv.AppendUint(b, v, 16)
+		b = append(b, `"}`...)
+	}
+	if limbs {
+		b = append(b, ']')
+	}
+	if s.nan {
+		field(`"nan":true`)
+	}
+	if s.pinf {
+		field(`"pinf":true`)
+	}
+	if s.ninf {
+		field(`"ninf":true`)
+	}
+	return append(b, '}')
 }
 
 // UnmarshalJSON restores an accumulator serialized by MarshalJSON.

@@ -44,6 +44,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
+
+	"blackboxval/internal/jsonenc"
 )
 
 const (
@@ -146,15 +149,26 @@ func (k *KLL) Add(x float64) {
 
 // toBuckets converts the exact regime to the bucketed one. Bucketizing
 // is pointwise, so the result depends only on the multiset, not on
-// when the cutover happened.
+// when the cutover happened. Maps and the value slice a Reset kept are
+// reused (outside the bucketed regime the maps are always empty).
 func (k *KLL) toBuckets() {
 	k.bucketed = true
-	k.neg = map[int32]int64{}
-	k.pos = map[int32]int64{}
+	if k.neg == nil {
+		k.neg = map[int32]int64{}
+		k.pos = map[int32]int64{}
+	}
 	for _, x := range k.xs {
 		k.bucketAdd(x, 1)
 	}
-	k.xs = nil
+	k.xs = k.xs[:0]
+}
+
+// Reset empties the sketch in place, keeping its storage for the next
+// stream: the state afterwards is that of NewKLL.
+func (k *KLL) Reset() {
+	clear(k.neg)
+	clear(k.pos)
+	*k = KLL{xs: k.xs[:0], neg: k.neg, pos: k.pos}
 }
 
 func (k *KLL) bucketAdd(x float64, n int64) {
@@ -305,11 +319,8 @@ func (k *KLL) Merge(o *KLL) error {
 	}
 	total := k.count + o.count
 	if !k.bucketed && !o.bucketed && total <= kllCutover {
-		merged := make([]float64, 0, total)
-		merged = append(merged, k.xs...)
-		merged = append(merged, o.xs...)
-		sort.Float64s(merged)
-		k.xs = merged
+		k.xs = append(k.xs, o.xs...)
+		sort.Float64s(k.xs)
 		k.count = total
 		return nil
 	}
@@ -333,11 +344,12 @@ func (k *KLL) Merge(o *KLL) error {
 	return nil
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy whose storage is sized to the state.
 func (k *KLL) Clone() *KLL {
 	c := &KLL{count: k.count, nans: k.nans, min: k.min, max: k.max, bucketed: k.bucketed, zero: k.zero}
-	if k.xs != nil {
-		c.xs = append([]float64(nil), k.xs...)
+	if len(k.xs) > 0 {
+		c.xs = make([]float64, len(k.xs))
+		copy(c.xs, k.xs)
 	}
 	if k.bucketed {
 		c.neg = make(map[int32]int64, len(k.neg))
@@ -431,9 +443,10 @@ func KSDistance(a, b *KLL) float64 {
 	return d
 }
 
-// kllJSON is the canonical JSON wire form: field order is fixed by the
-// struct, bucket arrays are ascending by index, so identical sketch
-// states serialize to identical bytes.
+// kllJSON is the canonical JSON wire form, decoded by UnmarshalJSON and
+// written field for field, in this order, by AppendJSON: bucket arrays
+// are ascending by index, so identical sketch states serialize to
+// identical bytes.
 type kllJSON struct {
 	V        int        `json:"v"`
 	Count    int64      `json:"count"`
@@ -448,19 +461,68 @@ type kllJSON struct {
 }
 
 // MarshalJSON encodes the sketch canonically.
-func (k *KLL) MarshalJSON() ([]byte, error) {
-	out := kllJSON{V: kllVersion, Count: k.count, NaNs: k.nans, Min: k.min, Max: k.max, Bucketed: k.bucketed, Zero: k.zero}
-	if !k.bucketed {
-		out.Xs = k.xs
-	} else {
-		for _, b := range sortedBuckets(k.neg) {
-			out.Neg = append(out.Neg, [2]int64{int64(b.idx), b.n})
-		}
-		for _, b := range sortedBuckets(k.pos) {
-			out.Pos = append(out.Pos, [2]int64{int64(b.idx), b.n})
+func (k *KLL) MarshalJSON() ([]byte, error) { return k.AppendJSON(nil) }
+
+// AppendJSON appends the canonical JSON of the sketch to b: the bytes
+// encoding/json writes for kllJSON. A nonfinite min or max (only a
+// binary-decoded sketch can hold one) is an error, as it is there.
+func (k *KLL) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"v":`...)
+	b = strconv.AppendInt(b, kllVersion, 10)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, k.count, 10)
+	if k.nans != 0 {
+		b = append(b, `,"nans":`...)
+		b = strconv.AppendInt(b, k.nans, 10)
+	}
+	var err error
+	b = append(b, `,"min":`...)
+	if b, err = jsonenc.AppendFloat(b, k.min); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"max":`...)
+	if b, err = jsonenc.AppendFloat(b, k.max); err != nil {
+		return nil, err
+	}
+	if !k.bucketed && len(k.xs) > 0 {
+		b = append(b, `,"xs":`...)
+		if b, err = jsonenc.AppendFloats(b, k.xs); err != nil {
+			return nil, err
 		}
 	}
-	return json.Marshal(out)
+	if k.bucketed {
+		b = append(b, `,"bucketed":true`...)
+	}
+	if k.zero != 0 {
+		b = append(b, `,"zero":`...)
+		b = strconv.AppendInt(b, k.zero, 10)
+	}
+	if k.bucketed {
+		b = appendBuckets(b, `,"neg":`, k.neg)
+		b = appendBuckets(b, `,"pos":`, k.pos)
+	}
+	return append(b, '}'), nil
+}
+
+// appendBuckets appends key and the [index, count] pairs of m in
+// ascending index order; an empty map appends nothing.
+func appendBuckets(b []byte, key string, m map[int32]int64) []byte {
+	if len(m) == 0 {
+		return b
+	}
+	b = append(b, key...)
+	for i, bk := range sortedBuckets(m) {
+		if i == 0 {
+			b = append(b, "[["...)
+		} else {
+			b = append(b, ",["...)
+		}
+		b = strconv.AppendInt(b, int64(bk.idx), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, bk.n, 10)
+		b = append(b, ']')
+	}
+	return append(b, ']')
 }
 
 // UnmarshalJSON restores a sketch serialized by MarshalJSON, validating

@@ -427,6 +427,7 @@ func FuzzKLLRoundTrip(f *testing.F) {
 				t.Fatal("binary form not canonical after round trip")
 			}
 			_ = fromBin.Quantile(0.99)
+			checkKLLJSON(t, &fromBin)
 		}
 		var fromJSON KLL
 		if err := json.Unmarshal(data, &fromJSON); err == nil {
@@ -443,6 +444,7 @@ func FuzzKLLRoundTrip(f *testing.F) {
 				t.Fatalf("JSON form not canonical after round trip (err %v)", err)
 			}
 			_ = fromJSON.Quantile(0.5)
+			checkKLLJSON(t, &fromJSON)
 		}
 	})
 }
