@@ -96,7 +96,9 @@ audit: lint
 
 # Short coverage-guided fuzz budgets for the deterministic-merge
 # invariants — sketch merge (associativity/commutativity vs the union
-# stream), the serialized round-trips, and the timeline window's
+# stream), the serialized round-trips, the sorted-slice sketch against
+# the map-based one it replaced (same bytes, quantiles and KS distances
+# under any operation sequence), and the timeline window's
 # append-form JSON and in-place merge fold (differentially, against
 # encoding/json and the pairwise merge chain they replaced) — plus the
 # attacker-facing decoders: both /predict_proba bodies (differentially,
@@ -109,6 +111,7 @@ audit: lint
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzKLLRoundTrip -fuzztime 10s ./internal/stats
+	$(GO) test -run NONE -fuzz FuzzKLLMatchesMapReference -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzLatencyHistMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/cloud
 	$(GO) test -run NONE -fuzz FuzzParseProbaResponse -fuzztime 10s ./internal/cloud

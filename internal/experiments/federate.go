@@ -77,18 +77,17 @@ func FederateBench(scale Scale) (*FederateResult, error) {
 
 	// --- 1. merged-vs-single quantile table over one skewed stream ---
 	values := make([]float64, samples)
-	single := stats.NewKLL()
-	shardSketches := make([]*stats.KLL, shards)
-	for i := range shardSketches {
-		shardSketches[i] = stats.NewKLL()
-	}
 	for i := range values {
 		// Lognormal-ish positive stream: heavy tail, like a latency or a
 		// raw feature column.
-		v := math.Exp(rng.NormFloat64())
-		values[i] = v
-		single.Add(v)
-		shardSketches[i%shards].Add(v)
+		values[i] = math.Exp(rng.NormFloat64())
+	}
+	single := stats.NewKLL()
+	single.AddAll(values)
+	shardSketches := make([]*stats.KLL, shards)
+	for i := range shardSketches {
+		shardSketches[i] = stats.NewKLL()
+		shardSketches[i].AddAll(values[i*samples/shards : (i+1)*samples/shards])
 	}
 	merged := stats.NewKLL()
 	for _, s := range shardSketches {
@@ -187,10 +186,12 @@ func FederateBench(scale Scale) (*FederateResult, error) {
 	fleet := stats.NewKLL()
 	perShard := samples / 10
 	for s := 0; s < shards; s++ {
-		sk := stats.NewKLL()
-		for i := 0; i < perShard*(s+1); i++ {
-			sk.Add(rng.ExpFloat64() * float64(s+1))
+		vs := make([]float64, perShard*(s+1))
+		for i := range vs {
+			vs[i] = rng.ExpFloat64() * float64(s+1)
 		}
+		sk := stats.NewKLL()
+		sk.AddAll(vs)
 		res.ShardP99s = append(res.ShardP99s, sk.Quantile(0.99))
 		if err := fleet.Merge(sk); err != nil {
 			return nil, err

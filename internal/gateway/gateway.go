@@ -50,7 +50,8 @@ type Config struct {
 	// labeling systems joins the shadow traffic this gateway served. The
 	// store must be registered as a batch observer on the same Monitor.
 	Labels *labels.Store
-	// HTTPClient overrides the transport used to reach the backend.
+	// HTTPClient overrides the client used to reach the backend
+	// (default: the gateway's own, see relayClient).
 	HTTPClient *http.Client
 	// RequestTimeout bounds each backend attempt (default 10s).
 	RequestTimeout time.Duration
@@ -136,6 +137,7 @@ const (
 // mount Handler, and Close when done.
 type Gateway struct {
 	cfg     Config
+	client  *http.Client // Config.HTTPClient, else relayClient()
 	breaker *Breaker
 	metrics *Metrics
 	shadow  *shadowTap
@@ -162,8 +164,12 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:     cfg,
+		client:  cfg.HTTPClient,
 		metrics: newMetrics(),
 		jitter:  rand.New(rand.NewSource(time.Now().UnixNano())),
+	}
+	if g.client == nil {
+		g.client = relayClient()
 	}
 	g.idPrefix = fmt.Sprintf("gw-%04x", g.jitter.Intn(1<<16))
 	g.lastFailID.Store("")
@@ -190,11 +196,28 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
+// relayClient returns the backend client the gateway builds for
+// itself: the default transport with a 64 KiB write buffer. net/http
+// sends a body of known length through io.LimitReader, which hides
+// bytes.Reader's WriteTo, so once the transport's write buffer (4 KiB
+// by default) fills, the rest of the body goes through io.Copy and a
+// fresh buffer of up to 32 KiB per request. With 64 KiB, bodies up to
+// about 60 KiB reach the socket from the buffer the connection owns.
+func relayClient() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.WriteBufferSize = 64 << 10
+	return &http.Client{Transport: t}
+}
+
 // Close releases the gateway's background resources (the shadow worker
-// drains its queue first).
+// drains its queue first) and the idle backend connections of the
+// client it built.
 func (g *Gateway) Close() {
 	if g.shadow != nil {
 		g.shadow.Close()
+	}
+	if g.cfg.HTTPClient == nil {
+		g.client.CloseIdleConnections()
 	}
 }
 
@@ -463,11 +486,7 @@ func (g *Gateway) attempt(ctx context.Context, body []byte, id string) (*backend
 	if traced {
 		req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
 	}
-	client := g.cfg.HTTPClient
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return nil, err
 	}

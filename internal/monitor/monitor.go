@@ -192,9 +192,7 @@ func New(cfg Config) (*Monitor, error) {
 		for c := 0; c < ref.Cols; c++ {
 			m.refP50[c] = stats.PercentileSorted(m.refCols[c], 50)
 			sk := stats.NewKLL()
-			for i := 0; i < ref.Rows; i++ {
-				sk.Add(ref.At(i, c)) // row order, like the serving proba_class series
-			}
+			sk.AddAll(m.refCols[c]) // the sketch is a function of the multiset
 			m.refSketches[probaSeries(c)] = sk
 		}
 	}

@@ -153,12 +153,15 @@ func NewTimeSeries(cfg TimeSeriesConfig) (*TimeSeries, error) {
 func (ts *TimeSeries) Record(series string, v float64) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.addLocked(ts.seriesLocked(series), v)
+	s := ts.seriesLocked(series)
+	ts.addLocked(s, v)
+	s.sketch.Add(v)
 }
 
 // RecordAll adds a batch of samples to the named series under a single
 // lock acquisition — the bulk path the monitor uses to feed per-class
-// output distributions into the timeline.
+// output distributions into the timeline. The sketch takes the batch in
+// one AddAll; the window ends up exactly as after Record on each sample.
 func (ts *TimeSeries) RecordAll(series string, vs []float64) {
 	if len(vs) == 0 {
 		return
@@ -169,6 +172,7 @@ func (ts *TimeSeries) RecordAll(series string, vs []float64) {
 	for _, v := range vs {
 		ts.addLocked(s, v)
 	}
+	s.sketch.AddAll(vs)
 }
 
 // seriesLocked returns the named series' accumulator, creating it on
@@ -182,6 +186,8 @@ func (ts *TimeSeries) seriesLocked(series string) *openSeries {
 	return s
 }
 
+// addLocked adds v to every aggregate of s but the sketch, which the
+// caller feeds.
 func (ts *TimeSeries) addLocked(s *openSeries, v float64) {
 	if ts.openStart.IsZero() {
 		ts.openStart = time.Now()
@@ -198,7 +204,6 @@ func (ts *TimeSeries) addLocked(s *openSeries, v float64) {
 	s.count++
 	s.sum.Add(v)
 	s.last = v
-	s.sketch.Add(v)
 }
 
 // Commit marks one logical batch as fully recorded. After WindowBatches
@@ -288,8 +293,7 @@ func quantileKeys(percentiles []float64) []string {
 }
 
 // quantileMap reads the percentiles (in (0,100)) off sk, keyed by keys
-// (quantileKeys of the grid). One ordering of the sketch's buckets
-// answers them all.
+// (quantileKeys of the grid).
 func quantileMap(sk *stats.KLL, percentiles []float64, keys []string) map[string]float64 {
 	var fracBuf, valBuf [8]float64
 	fracs := fracBuf[:0]

@@ -1,11 +1,15 @@
 package tsdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,8 +211,83 @@ func TestAppendAllocGuard(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("tsdb append: %.0f allocs, %.1f KB per drift-shaped window over %d compactions",
 		allocs, bytes/1024, db.compactions.Load())
-	if allocs > 200 || bytes > 64<<10 {
-		t.Fatalf("tsdb append costs %.0f allocs and %.1f KB per window, over the 200 allocs / 64 KB guard",
+	if allocs > 40 || bytes > 8<<10 {
+		t.Fatalf("tsdb append costs %.0f allocs and %.1f KB per window, over the 40 allocs / 8 KB guard",
 			allocs, bytes/1024)
+	}
+}
+
+// TestCompactionSkipsUnencodableBucket: windows 40–47 each sum to
+// 1e308, so their bucket's merged exact sum rounds to +Inf, which JSON
+// cannot carry. That bucket is skipped — counted once, warned once —
+// and every other sealed bucket still compacts to the merge of its raw
+// windows, so the raw segments below the watermark are dropped.
+func TestCompactionSkipsUnencodableBucket(t *testing.T) {
+	ts, err := obs.NewTimeSeries(obs.TimeSeriesConfig{Capacity: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var windows []obs.Window
+	ts.OnWindowClose(func(w obs.Window) { windows = append(windows, w) })
+	for i := 0; i < 120; i++ {
+		v := float64(i) / 120
+		if i >= 40 && i < 48 {
+			v = 1e308
+		}
+		ts.Record("estimate", v)
+		ts.Commit()
+	}
+	var logs bytes.Buffer
+	dir := t.TempDir()
+	db := openTestDB(t, dir, func(c *Config) {
+		c.SegmentBytes = 2 << 10
+		c.Logger = slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	})
+	for _, w := range windows {
+		db.Append(w)
+	}
+	db.Compact() // seals the buckets the last roll left below the head guard
+	if got := db.appendErrors.Load(); got != 1 {
+		t.Fatalf("append errors = %d, want 1 (the bad bucket, once)", got)
+	}
+	if warns := strings.Count(logs.String(), "level=WARN"); warns != 1 {
+		t.Fatalf("%d warnings, want 1:\n%s", warns, logs.String())
+	}
+	const k = 8
+	sealed := (db.compactedThrough / k) * k
+	if sealed < 88 { // windows below the 32-window head guard of 120
+		t.Fatalf("compacted through %d, want every bucket below 88 sealed", db.compactedThrough)
+	}
+	got := map[int64]Entry{}
+	for _, e := range db.Entries(0, sealed-1) {
+		got[e.Window.Index] = e
+	}
+	for b := int64(0); b < sealed; b += k {
+		e, ok := got[b]
+		if b == 40 {
+			if ok {
+				t.Fatalf("the unencodable bucket at 40 was written: %+v", e)
+			}
+			continue
+		}
+		if !ok || e.Span != k || e.Windows != k {
+			t.Fatalf("bucket %d not compacted (found %v, span %d)", b, ok, e.Span)
+		}
+		want, _ := obs.MergeWindowSet(windows[b:b+k], db.Quantiles())
+		want.Index = b
+		if g, w := canonical(t, e.Window), canonical(t, want); g != w {
+			t.Fatalf("bucket %d: compacted record != merged raw windows:\n got %s\nwant %s", b, g, w)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raws, _ := filepath.Glob(filepath.Join(dir, "seg-L0-*.seg"))
+	for _, p := range raws {
+		data, _ := os.ReadFile(p)
+		es, _ := decodeSegment(data)
+		if len(es) > 0 && es[len(es)-1].end() <= sealed {
+			t.Fatalf("raw segment %s below the watermark %d was not dropped", filepath.Base(p), sealed)
+		}
 	}
 }

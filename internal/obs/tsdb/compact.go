@@ -24,6 +24,13 @@ package tsdb
 // file, synced, then renamed into place before any covered raw segment
 // is deleted; a crash in between leaves shadowed duplicates that the
 // next Open resolves via the compactedThrough watermark.
+//
+// A sealed bucket whose fold cannot be encoded (its merged exact sum
+// rounds to ±Inf, which JSON cannot carry) is skipped: it is counted
+// as an append error, logged once, and compaction moves past it, so one
+// bad bucket cannot stop every later one from compacting. Whether a
+// bucket encodes is a pure function of its raw windows, so the skip
+// keeps the schedule unobservable.
 
 import (
 	"os"
@@ -128,9 +135,11 @@ func (db *DB) compactLocked() {
 			db.cfg.Logger.Warn("tsdb: compaction failed", "err", err)
 			return
 		}
-		db.segments = append(db.segments, info)
-		db.compactions.Add(1)
-		db.compactedWindows.Add(folded)
+		if info != nil {
+			db.segments = append(db.segments, info)
+			db.compactions.Add(1)
+			db.compactedWindows.Add(folded)
+		}
 		for _, p := range db.pending[:sealed] {
 			p.fold.Reset()
 			db.spare = append(db.spare, p)
@@ -145,7 +154,8 @@ func (db *DB) compactLocked() {
 
 // writeCompactedLocked durably writes one level-1 segment holding one
 // record per bucket: complete temp file, fsync, atomic rename. It
-// returns the segment and the number of raw windows it folds.
+// returns the segment and the number of raw windows it folds; a nil
+// segment when no bucket could be encoded.
 func (db *DB) writeCompactedLocked(buckets []*pendingBucket) (*segmentInfo, uint64, error) {
 	seq := db.nextSeq
 	db.nextSeq++
@@ -171,7 +181,10 @@ func (db *DB) writeCompactedLocked(buckets []*pendingBucket) (*segmentInfo, uint
 		e := Entry{Span: int64(db.cfg.Downsample), Windows: int64(p.fold.Len()), Window: w}
 		rec, err := appendRecord(db.buf[:0], e)
 		if err != nil {
-			return fail(err)
+			db.appendErrors.Add(1)
+			db.cfg.Logger.Warn("tsdb: compacted bucket cannot be encoded; skipped",
+				"start", p.start, "windows", e.Windows, "err", err)
+			continue
 		}
 		db.buf = rec
 		if _, err := f.Write(rec); err != nil {
@@ -189,6 +202,9 @@ func (db *DB) writeCompactedLocked(buckets []*pendingBucket) (*segmentInfo, uint
 		info.records++
 		info.bytes += int64(len(rec))
 		folded += uint64(e.Windows)
+	}
+	if info.records == 0 {
+		return fail(nil)
 	}
 	if err := f.Sync(); err != nil {
 		return fail(err)

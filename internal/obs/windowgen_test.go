@@ -113,11 +113,11 @@ func (g *windowGen) sketch() *stats.KLL {
 			k.Add(base * float64(i%23-7) / 3)
 		}
 		return k
-	case 6: // decodable but hostile: a zero count over nonzero buckets
+	case 6: // decodable but hostile: negative zero counts, extremes that disagree with the buckets
 		var k stats.KLL
 		js := []string{
-			`{"v":1,"count":0,"min":0,"max":0,"bucketed":true,"zero":-3,"pos":[[7,3]]}`,
-			`{"v":1,"count":-2,"min":1,"max":2,"bucketed":true,"zero":-2}`,
+			`{"v":1,"count":65,"min":0,"max":0,"bucketed":true,"zero":-3,"pos":[[7,68]]}`,
+			`{"v":1,"count":66,"min":1,"max":2,"bucketed":true,"zero":-2,"neg":[[3,68]]}`,
 			`{"v":1,"count":0,"nans":4,"min":5,"max":-5,"zero":9}`,
 		}[g.byte()%3]
 		if err := k.UnmarshalJSON([]byte(js)); err != nil {

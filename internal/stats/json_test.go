@@ -17,10 +17,10 @@ func reflectKLLJSON(k *KLL) ([]byte, error) {
 	if !k.bucketed {
 		out.Xs = k.xs
 	} else {
-		for _, b := range sortedBuckets(k.neg) {
+		for _, b := range k.b.neg {
 			out.Neg = append(out.Neg, [2]int64{int64(b.idx), b.n})
 		}
-		for _, b := range sortedBuckets(k.pos) {
+		for _, b := range k.b.pos {
 			out.Pos = append(out.Pos, [2]int64{int64(b.idx), b.n})
 		}
 	}

@@ -22,6 +22,9 @@ package stats
 //     depends only on its bits (Frexp + exact mantissa arithmetic), so
 //     bucketize(multiset) is pointwise and order-free, and merging is
 //     integer count addition — associative, commutative, and bit-exact.
+//     The counts of each sign are kept as (index, count) slices in
+//     ascending index order, so every reader (quantiles, KS, the wire
+//     forms) walks them in order and a merge is one pass from the back.
 //
 // The price of determinism is a fixed relative resolution instead of
 // KLL's distribution-adaptive one: quantiles carry relative error
@@ -69,12 +72,34 @@ type KLL struct {
 	min, max float64
 
 	// exact regime
-	xs []float64 // sorted raw values; nil once bucketed
+	xs []float64 // sorted raw values; empty once bucketed
 
 	// bucketed regime
 	bucketed bool
 	zero     int64
-	neg, pos map[int32]int64 // bucket index (of |v|) → count
+	b        *kllBuckets // non-nil once bucketed; kept by Reset
+}
+
+// kllBuckets holds a bucketed sketch's counts behind one pointer, so a
+// KLL stays in its allocation size class: exact-regime sketches — most
+// windows' — carry 8 bytes for it, not two slice headers.
+type kllBuckets struct {
+	// neg and pos are the buckets of |v| of each sign, ascending by
+	// index, every count above 0.
+	neg, pos []kllBucket
+	// keys, runs and hist are AddAll's scratch: a batch's bucket
+	// indices, their run-length counts, and the histogram that counts
+	// them (all zero between calls). Clones and the wire forms never
+	// carry them.
+	keys []int32
+	runs []kllBucket
+	hist []uint32
+}
+
+// kllBucket is one (index, count) pair.
+type kllBucket struct {
+	idx int32
+	n   int64
 }
 
 // NewKLL returns an empty sketch.
@@ -120,13 +145,8 @@ func normalize(x float64) (float64, bool) {
 	return x, true
 }
 
-// Add consumes one observation.
-func (k *KLL) Add(x float64) {
-	x, ok := normalize(x)
-	if !ok {
-		k.nans++
-		return
-	}
+// observe updates the count and the extremes for a normalized x.
+func (k *KLL) observe(x float64) {
 	if k.count == 0 || x < k.min {
 		k.min = x
 	}
@@ -134,6 +154,16 @@ func (k *KLL) Add(x float64) {
 		k.max = x
 	}
 	k.count++
+}
+
+// Add consumes one observation.
+func (k *KLL) Add(x float64) {
+	x, ok := normalize(x)
+	if !ok {
+		k.nans++
+		return
+	}
+	k.observe(x)
 	if !k.bucketed {
 		i := sort.SearchFloat64s(k.xs, x)
 		k.xs = append(k.xs, 0)
@@ -144,42 +174,212 @@ func (k *KLL) Add(x float64) {
 		}
 		return
 	}
-	k.bucketAdd(x, 1)
+	switch {
+	case x == 0:
+		k.zero++
+	case x > 0:
+		k.b.pos = addBucket(k.b.pos, bucketIndex(x))
+	default:
+		k.b.neg = addBucket(k.b.neg, bucketIndex(-x))
+	}
+}
+
+// addBucket counts one observation of bucket idx in bs: an append when
+// idx is past the last bucket, else a binary search and an insert.
+func addBucket(bs []kllBucket, idx int32) []kllBucket {
+	if n := len(bs); n == 0 || idx > bs[n-1].idx {
+		return append(bs, kllBucket{idx, 1})
+	}
+	i, found := slices.BinarySearchFunc(bs, idx, func(b kllBucket, idx int32) int { return cmp.Compare(b.idx, idx) })
+	if found {
+		bs[i].n++
+		return bs
+	}
+	return slices.Insert(bs, i, kllBucket{idx, 1})
+}
+
+// AddAll consumes a batch of observations. The state afterwards equals
+// that of calling Add on each in turn, but in the bucketed regime the
+// batch's bucket indices are counted into runs once and merged in one
+// pass, so a batch costs one walk of the buckets rather than one
+// binary-search insert per value.
+func (k *KLL) AddAll(xs []float64) {
+	if !k.bucketed {
+		finite := k.count
+		for _, x := range xs {
+			if !math.IsNaN(x) {
+				finite++
+			}
+		}
+		if finite <= kllCutover {
+			for _, x := range xs {
+				k.Add(x)
+			}
+			return
+		}
+		k.toBuckets() // bucketing is pointwise: converting early changes nothing
+	}
+	b := k.b
+	keys := slices.Grow(b.keys[:0], len(xs))[:len(xs)]
+	p, q := 0, len(keys) // positive values' indices fill keys[:p], negative ones' keys[q:]
+	for _, x := range xs {
+		x, ok := normalize(x)
+		if !ok {
+			k.nans++
+			continue
+		}
+		k.observe(x)
+		switch {
+		case x == 0:
+			k.zero++
+		case x > 0:
+			keys[p] = bucketIndex(x)
+			p++
+		default:
+			q--
+			keys[q] = bucketIndex(-x)
+		}
+	}
+	b.runs = b.countRuns(keys[q:])
+	b.neg = mergeBuckets(b.neg, b.runs)
+	b.runs = b.countRuns(keys[:p])
+	b.pos = mergeBuckets(b.pos, b.runs)
+	b.keys = keys
+}
+
+// countRuns returns the run-length counts of the bucket indices keys,
+// ascending, in the runs scratch. Indices that span a narrow range —
+// a batch drawn from a few binades, the usual case — are counted in a
+// histogram; others are sorted.
+func (b *kllBuckets) countRuns(keys []int32) []kllBucket {
+	runs := b.runs[:0]
+	if len(keys) == 0 {
+		return runs
+	}
+	lo, hi := keys[0], keys[0]
+	for _, key := range keys[1:] {
+		lo, hi = min(lo, key), max(hi, key)
+	}
+	span := int(hi-lo) + 1
+	if span > 4*len(keys)+16*kllResolution {
+		slices.Sort(keys)
+		for _, key := range keys {
+			runs = appendRun(runs, key)
+		}
+		return runs
+	}
+	if cap(b.hist) < span {
+		b.hist = make([]uint32, span)
+	}
+	hist := b.hist[:span] // all zero between calls
+	for _, key := range keys {
+		hist[key-lo]++
+	}
+	for i, n := range hist {
+		if n > 0 {
+			runs = append(runs, kllBucket{lo + int32(i), int64(n)})
+			hist[i] = 0
+		}
+	}
+	return runs
+}
+
+// appendRun counts one observation of idx, which is at or past the last
+// run's index.
+func appendRun(runs []kllBucket, idx int32) []kllBucket {
+	if n := len(runs); n > 0 && runs[n-1].idx == idx {
+		runs[n-1].n++
+		return runs
+	}
+	return append(runs, kllBucket{idx, 1})
+}
+
+// mergeBuckets adds the counts of src into dst (both ascending by index,
+// indices unique) and returns the union. It merges in place from the
+// back, growing dst only when the union outgrows its capacity.
+func mergeBuckets(dst, src []kllBucket) []kllBucket {
+	if len(src) == 0 {
+		return dst
+	}
+	u := len(dst) // the union's length: dst plus src's new indices
+	for i, j := 0, 0; j < len(src); {
+		switch {
+		case i == len(dst):
+			u += len(src) - j
+			j = len(src)
+		case src[j].idx < dst[i].idx:
+			u++
+			j++
+		case src[j].idx == dst[i].idx:
+			i++
+			j++
+		default:
+			i++
+		}
+	}
+	i, j := len(dst)-1, len(src)-1
+	dst = slices.Grow(dst, u-len(dst))[:u]
+	for w := u - 1; j >= 0; w-- {
+		switch {
+		case i >= 0 && dst[i].idx > src[j].idx:
+			dst[w] = dst[i]
+			i--
+		case i >= 0 && dst[i].idx == src[j].idx:
+			dst[w] = kllBucket{dst[i].idx, dst[i].n + src[j].n}
+			i--
+			j--
+		default:
+			dst[w] = src[j]
+			j--
+		}
+	}
+	return dst
 }
 
 // toBuckets converts the exact regime to the bucketed one. Bucketizing
 // is pointwise, so the result depends only on the multiset, not on
-// when the cutover happened. Maps and the value slice a Reset kept are
-// reused (outside the bucketed regime the maps are always empty).
+// when the cutover happened. The buckets and the value slice a Reset
+// kept are reused (outside the bucketed regime the buckets are empty).
 func (k *KLL) toBuckets() {
 	k.bucketed = true
-	if k.neg == nil {
-		k.neg = map[int32]int64{}
-		k.pos = map[int32]int64{}
+	if k.b == nil {
+		k.b = &kllBuckets{}
 	}
-	for _, x := range k.xs {
-		k.bucketAdd(x, 1)
-	}
+	k.addSorted(k.xs)
 	k.xs = k.xs[:0]
+}
+
+// addSorted folds ascending normalized values into the buckets.
+// Negative values ascend by value, so descend by bucket index: they
+// are walked backwards.
+func (k *KLL) addSorted(xs []float64) {
+	b := k.b
+	lo := sort.SearchFloat64s(xs, 0) // first value ≥ 0
+	hi := lo
+	for hi < len(xs) && xs[hi] == 0 {
+		hi++
+	}
+	k.zero += int64(hi - lo)
+	b.runs = b.runs[:0]
+	for i := lo - 1; i >= 0; i-- {
+		b.runs = appendRun(b.runs, bucketIndex(-xs[i]))
+	}
+	b.neg = mergeBuckets(b.neg, b.runs)
+	b.runs = b.runs[:0]
+	for _, x := range xs[hi:] {
+		b.runs = appendRun(b.runs, bucketIndex(x))
+	}
+	b.pos = mergeBuckets(b.pos, b.runs)
 }
 
 // Reset empties the sketch in place, keeping its storage for the next
 // stream: the state afterwards is that of NewKLL.
 func (k *KLL) Reset() {
-	clear(k.neg)
-	clear(k.pos)
-	*k = KLL{xs: k.xs[:0], neg: k.neg, pos: k.pos}
-}
-
-func (k *KLL) bucketAdd(x float64, n int64) {
-	switch {
-	case x == 0:
-		k.zero += n
-	case x > 0:
-		k.pos[bucketIndex(x)] += n
-	default:
-		k.neg[bucketIndex(-x)] += n
+	b := k.b
+	if b != nil {
+		b.neg, b.pos = b.neg[:0], b.pos[:0]
 	}
+	*k = KLL{xs: k.xs[:0], b: b}
 }
 
 // Count returns the number of (finite) observations consumed.
@@ -194,20 +394,53 @@ func (k *KLL) Min() float64 { return k.min }
 // Max returns the exact maximum (0 for an empty sketch).
 func (k *KLL) Max() float64 { return k.max }
 
-// kllBucket is one (index, count) pair in value order.
-type kllBucket struct {
-	idx int32
-	n   int64
+// kllCursor walks a sketch's support in ascending value order — each
+// distinct value of the exact regime, or each bucket's representative
+// (and zero, when it holds observations) of the bucketed one — with its
+// count: the empirical distribution KSDistance compares.
+type kllCursor struct {
+	k    *KLL
+	part int // bucketed: 0 negatives, 1 zero, 2 positives
+	i    int
+	v    float64
+	n    int64
 }
 
-// sortedBuckets returns the map's buckets ordered by ascending index.
-func sortedBuckets(m map[int32]int64) []kllBucket {
-	out := make([]kllBucket, 0, len(m))
-	for idx, n := range m {
-		out = append(out, kllBucket{idx, n})
+// next advances to the next support point, reporting false past the
+// last.
+func (c *kllCursor) next() bool {
+	k := c.k
+	if !k.bucketed {
+		if c.i >= len(k.xs) {
+			return false
+		}
+		j := c.i + 1
+		for j < len(k.xs) && k.xs[j] == k.xs[c.i] {
+			j++
+		}
+		c.v, c.n, c.i = k.xs[c.i], int64(j-c.i), j
+		return true
 	}
-	slices.SortFunc(out, func(a, b kllBucket) int { return cmp.Compare(a.idx, b.idx) })
-	return out
+	if c.part == 0 {
+		if neg := k.b.neg; c.i < len(neg) { // descending |v| = ascending v
+			bk := neg[len(neg)-1-c.i]
+			c.v, c.n = -bucketValue(bk.idx), bk.n
+			c.i++
+			return true
+		}
+		c.part, c.i = 1, 0
+		if k.zero > 0 {
+			c.v, c.n = 0, k.zero
+			return true
+		}
+	}
+	c.part = 2
+	if pos := k.b.pos; c.i < len(pos) {
+		c.v, c.n = bucketValue(pos[c.i].idx), pos[c.i].n
+		c.i++
+		return true
+	}
+	return false
 }
 
 func clampRange(v, lo, hi float64) float64 {
@@ -224,31 +457,6 @@ func clampRange(v, lo, hi float64) float64 {
 // rank convention k = round(q·(n−1)). Exact below the cutover; within
 // the bucket resolution above it. q=0 and q=1 are always exact.
 func (k *KLL) Quantile(q float64) float64 {
-	var out [1]float64
-	return k.Quantiles([]float64{q}, out[:0])[0]
-}
-
-// Quantiles appends the estimate for each q in qs to out and returns
-// the extended slice. It orders the buckets once and answers every q
-// from that one ordering; each estimate is bit-identical to
-// Quantile(q).
-func (k *KLL) Quantiles(qs, out []float64) []float64 {
-	var steps []kllStep // built on the first rank that needs the buckets
-	for _, q := range qs {
-		out = append(out, k.quantile(q, &steps))
-	}
-	return out
-}
-
-// kllStep is one support point of a bucketed sketch in value order:
-// its representative value and the count of observations at or below
-// it.
-type kllStep struct {
-	v   float64
-	cum int64
-}
-
-func (k *KLL) quantile(q float64, steps *[]kllStep) float64 {
 	if k.count == 0 {
 		return 0
 	}
@@ -268,32 +476,31 @@ func (k *KLL) quantile(q float64, steps *[]kllStep) float64 {
 	if rank == k.count-1 {
 		return k.max
 	}
-	if *steps == nil {
-		*steps = k.steps()
+	// Walk the counts in value order; only the bucket that passes the
+	// rank is turned into a value.
+	var cum int64
+	neg := k.b.neg
+	for i := len(neg) - 1; i >= 0; i-- {
+		if cum += neg[i].n; cum > rank {
+			return clampRange(-bucketValue(neg[i].idx), k.min, k.max)
+		}
 	}
-	s := *steps
-	i := sort.Search(len(s), func(i int) bool { return s[i].cum > rank })
-	if i == len(s) {
-		return k.max
+	if cum += k.zero; cum > rank {
+		return clampRange(0, k.min, k.max)
 	}
-	return clampRange(s[i].v, k.min, k.max)
+	for _, bk := range k.b.pos {
+		if cum += bk.n; cum > rank {
+			return clampRange(bucketValue(bk.idx), k.min, k.max)
+		}
+	}
+	return k.max
 }
 
-// steps orders a bucketed sketch's buckets by value: negatives, then
-// zero, then positives.
-func (k *KLL) steps() []kllStep {
-	out := make([]kllStep, 0, len(k.neg)+len(k.pos)+1)
-	var c int64
-	negs := sortedBuckets(k.neg)
-	for i := len(negs) - 1; i >= 0; i-- { // descending |v| index = ascending value
-		c += negs[i].n
-		out = append(out, kllStep{-bucketValue(negs[i].idx), c})
-	}
-	c += k.zero
-	out = append(out, kllStep{0, c})
-	for _, b := range sortedBuckets(k.pos) {
-		c += b.n
-		out = append(out, kllStep{bucketValue(b.idx), c})
+// Quantiles appends the estimate for each q in qs to out and returns
+// the extended slice; each estimate is Quantile(q).
+func (k *KLL) Quantiles(qs, out []float64) []float64 {
+	for _, q := range qs {
+		out = append(out, k.Quantile(q))
 	}
 	return out
 }
@@ -320,7 +527,7 @@ func (k *KLL) Merge(o *KLL) error {
 	total := k.count + o.count
 	if !k.bucketed && !o.bucketed && total <= kllCutover {
 		k.xs = append(k.xs, o.xs...)
-		sort.Float64s(k.xs)
+		slices.Sort(k.xs)
 		k.count = total
 		return nil
 	}
@@ -329,22 +536,17 @@ func (k *KLL) Merge(o *KLL) error {
 	}
 	if o.bucketed {
 		k.zero += o.zero
-		for idx, n := range o.neg {
-			k.neg[idx] += n
-		}
-		for idx, n := range o.pos {
-			k.pos[idx] += n
-		}
+		k.b.neg = mergeBuckets(k.b.neg, o.b.neg)
+		k.b.pos = mergeBuckets(k.b.pos, o.b.pos)
 	} else {
-		for _, x := range o.xs {
-			k.bucketAdd(x, 1)
-		}
+		k.addSorted(o.xs)
 	}
 	k.count = total
 	return nil
 }
 
-// Clone returns a deep copy whose storage is sized to the state.
+// Clone returns a deep copy whose storage is sized to the state: the
+// buckets of both signs share one exact-size array.
 func (k *KLL) Clone() *KLL {
 	c := &KLL{count: k.count, nans: k.nans, min: k.min, max: k.max, bucketed: k.bucketed, zero: k.zero}
 	if len(k.xs) > 0 {
@@ -352,50 +554,19 @@ func (k *KLL) Clone() *KLL {
 		copy(c.xs, k.xs)
 	}
 	if k.bucketed {
-		c.neg = make(map[int32]int64, len(k.neg))
-		for idx, n := range k.neg {
-			c.neg[idx] = n
-		}
-		c.pos = make(map[int32]int64, len(k.pos))
-		for idx, n := range k.pos {
-			c.pos[idx] = n
-		}
+		c.b = newBuckets(len(k.b.neg), len(k.b.pos))
+		copy(c.b.neg, k.b.neg)
+		copy(c.b.pos, k.b.pos)
 	}
 	return c
 }
 
-// supports returns the sketch's support points (ascending, unique) and
-// their counts — the empirical distribution the sketch represents.
-func (k *KLL) supports() ([]float64, []int64) {
-	if !k.bucketed {
-		var vs []float64
-		var ns []int64
-		for _, x := range k.xs {
-			if len(vs) > 0 && vs[len(vs)-1] == x {
-				ns[len(ns)-1]++
-				continue
-			}
-			vs = append(vs, x)
-			ns = append(ns, 1)
-		}
-		return vs, ns
-	}
-	vs := make([]float64, 0, len(k.neg)+len(k.pos)+1)
-	ns := make([]int64, 0, cap(vs))
-	negs := sortedBuckets(k.neg)
-	for i := len(negs) - 1; i >= 0; i-- {
-		vs = append(vs, -bucketValue(negs[i].idx))
-		ns = append(ns, negs[i].n)
-	}
-	if k.zero > 0 {
-		vs = append(vs, 0)
-		ns = append(ns, k.zero)
-	}
-	for _, b := range sortedBuckets(k.pos) {
-		vs = append(vs, bucketValue(b.idx))
-		ns = append(ns, b.n)
-	}
-	return vs, ns
+// newBuckets returns buckets of nneg and npos entries carved from one
+// array (the negative side capped, so appending to it cannot overwrite
+// the positive side).
+func newBuckets(nneg, npos int) *kllBuckets {
+	all := make([]kllBucket, nneg+npos)
+	return &kllBuckets{neg: all[:nneg:nneg], pos: all[nneg:]}
 }
 
 // KSDistance returns the two-sample Kolmogorov–Smirnov statistic
@@ -408,31 +579,30 @@ func KSDistance(a, b *KLL) float64 {
 	if a == nil || b == nil || a.count == 0 || b.count == 0 {
 		return 0
 	}
-	va, ca := a.supports()
-	vb, cb := b.supports()
+	ca, cb := kllCursor{k: a}, kllCursor{k: b}
+	okA, okB := ca.next(), cb.next()
 	na, nb := float64(a.count), float64(b.count)
 	var cumA, cumB int64
 	var d float64
-	i, j := 0, 0
-	for i < len(va) || j < len(vb) {
+	for okA || okB {
 		var v float64
 		switch {
-		case j >= len(vb):
-			v = va[i]
-		case i >= len(va):
-			v = vb[j]
-		case va[i] <= vb[j]:
-			v = va[i]
+		case !okB:
+			v = ca.v
+		case !okA:
+			v = cb.v
+		case ca.v <= cb.v:
+			v = ca.v
 		default:
-			v = vb[j]
+			v = cb.v
 		}
-		if i < len(va) && va[i] == v {
-			cumA += ca[i]
-			i++
+		if okA && ca.v == v {
+			cumA += ca.n
+			okA = ca.next()
 		}
-		if j < len(vb) && vb[j] == v {
-			cumB += cb[j]
-			j++
+		if okB && cb.v == v {
+			cumB += cb.n
+			okB = cb.next()
 		}
 		// Divide integer cumulative counts so the CDFs hit 0 and 1
 		// exactly instead of drifting through float accumulation.
@@ -498,20 +668,20 @@ func (k *KLL) AppendJSON(b []byte) ([]byte, error) {
 		b = strconv.AppendInt(b, k.zero, 10)
 	}
 	if k.bucketed {
-		b = appendBuckets(b, `,"neg":`, k.neg)
-		b = appendBuckets(b, `,"pos":`, k.pos)
+		b = appendBuckets(b, `,"neg":`, k.b.neg)
+		b = appendBuckets(b, `,"pos":`, k.b.pos)
 	}
 	return append(b, '}'), nil
 }
 
-// appendBuckets appends key and the [index, count] pairs of m in
-// ascending index order; an empty map appends nothing.
-func appendBuckets(b []byte, key string, m map[int32]int64) []byte {
-	if len(m) == 0 {
+// appendBuckets appends key and the [index, count] pairs of bs; no
+// buckets append nothing.
+func appendBuckets(b []byte, key string, bs []kllBucket) []byte {
+	if len(bs) == 0 {
 		return b
 	}
 	b = append(b, key...)
-	for i, bk := range sortedBuckets(m) {
+	for i, bk := range bs {
 		if i == 0 {
 			b = append(b, "[["...)
 		} else {
@@ -525,8 +695,43 @@ func appendBuckets(b []byte, key string, m map[int32]int64) []byte {
 	return append(b, ']')
 }
 
-// UnmarshalJSON restores a sketch serialized by MarshalJSON, validating
-// structural invariants so malformed federation payloads fail loudly.
+// checkShape rejects the headers of non-canonical sketches: the
+// bucketed flag must agree with count > kllCutover, and an exact
+// sketch holds exactly count values.
+func checkShape(bucketed bool, count int64, nxs int) error {
+	if bucketed != (count > kllCutover) {
+		return fmt.Errorf("stats: sketch of count %d has bucketed=%v, want %v", count, bucketed, !bucketed)
+	}
+	if !bucketed && int64(nxs) != count {
+		return fmt.Errorf("stats: exact sketch has %d values for count %d", nxs, count)
+	}
+	return nil
+}
+
+// checkBuckets validates decoded buckets: within each sign, indices
+// strictly ascending (no repeats) and counts positive; with zero, the
+// counts sum to count (checked as they run, so they cannot overflow).
+func checkBuckets(count, zero int64, neg, pos []kllBucket) error {
+	total := zero
+	for _, bs := range [2][]kllBucket{neg, pos} {
+		for i, bk := range bs {
+			if bk.n <= 0 || bk.n > count-total {
+				return fmt.Errorf("stats: invalid sketch bucket count %d", bk.n)
+			}
+			if i > 0 && bk.idx <= bs[i-1].idx {
+				return fmt.Errorf("stats: sketch bucket index %d not above %d", bk.idx, bs[i-1].idx)
+			}
+			total += bk.n
+		}
+	}
+	if total != count {
+		return fmt.Errorf("stats: sketch bucket counts sum to %d, want %d", total, count)
+	}
+	return nil
+}
+
+// UnmarshalJSON restores a sketch serialized by MarshalJSON, accepting
+// only canonical states so malformed federation payloads fail loudly.
 func (k *KLL) UnmarshalJSON(buf []byte) error {
 	var in kllJSON
 	if err := json.Unmarshal(buf, &in); err != nil {
@@ -535,40 +740,36 @@ func (k *KLL) UnmarshalJSON(buf []byte) error {
 	if in.V != kllVersion {
 		return fmt.Errorf("stats: sketch version %d, want %d", in.V, kllVersion)
 	}
-	r := &KLL{count: in.Count, nans: in.NaNs, min: in.Min, max: in.Max, bucketed: in.Bucketed, zero: in.Zero}
+	if err := checkShape(in.Bucketed, in.Count, len(in.Xs)); err != nil {
+		return err
+	}
+	r := KLL{count: in.Count, nans: in.NaNs, min: in.Min, max: in.Max, bucketed: in.Bucketed, zero: in.Zero}
 	if !in.Bucketed {
-		if int64(len(in.Xs)) != in.Count {
-			return fmt.Errorf("stats: exact sketch has %d values for count %d", len(in.Xs), in.Count)
-		}
 		if !sort.Float64sAreSorted(in.Xs) {
 			return fmt.Errorf("stats: exact sketch values not sorted")
 		}
 		if len(in.Xs) > 0 {
-			r.xs = append([]float64(nil), in.Xs...)
+			r.xs = in.Xs
 		}
-	} else {
-		r.neg = map[int32]int64{}
-		r.pos = map[int32]int64{}
-		total := in.Zero
-		for _, side := range [][][2]int64{in.Neg, in.Pos} {
-			for _, b := range side {
-				if b[1] <= 0 || b[0] < math.MinInt32 || b[0] > math.MaxInt32 {
-					return fmt.Errorf("stats: invalid sketch bucket %v", b)
-				}
-				total += b[1]
+		*k = r
+		return nil
+	}
+	r.b = newBuckets(len(in.Neg), len(in.Pos))
+	for _, side := range [2]struct {
+		pairs [][2]int64
+		dst   []kllBucket
+	}{{in.Neg, r.b.neg}, {in.Pos, r.b.pos}} {
+		for i, p := range side.pairs {
+			if p[0] < math.MinInt32 || p[0] > math.MaxInt32 {
+				return fmt.Errorf("stats: invalid sketch bucket %v", p)
 			}
-		}
-		if total != in.Count {
-			return fmt.Errorf("stats: sketch bucket counts sum to %d, want %d", total, in.Count)
-		}
-		for _, b := range in.Neg {
-			r.neg[int32(b[0])] = b[1]
-		}
-		for _, b := range in.Pos {
-			r.pos[int32(b[0])] = b[1]
+			side.dst[i] = kllBucket{int32(p[0]), p[1]}
 		}
 	}
-	*k = *r
+	if err := checkBuckets(r.count, r.zero, r.b.neg, r.b.pos); err != nil {
+		return err
+	}
+	*k = r
 	return nil
 }
 
@@ -577,47 +778,41 @@ var kllMagic = [4]byte{'K', 'L', 'S', kllVersion}
 // MarshalBinary encodes the sketch in a compact deterministic binary
 // form (little-endian, buckets ascending by index).
 func (k *KLL) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(kllMagic[:])
+	size := len(kllMagic) + 1 + 4*8 + 4 + 8*len(k.xs)
+	if k.bucketed {
+		size = len(kllMagic) + 1 + 5*8 + 2*4 + 12*(len(k.b.neg)+len(k.b.pos))
+	}
+	buf := append(make([]byte, 0, size), kllMagic[:]...)
 	var flags byte
 	if k.bucketed {
 		flags |= 1
 	}
-	buf.WriteByte(flags)
-	writeU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
-	}
-	writeU32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
-	}
-	writeU64(uint64(k.count))
-	writeU64(uint64(k.nans))
-	writeU64(math.Float64bits(k.min))
-	writeU64(math.Float64bits(k.max))
+	le := binary.LittleEndian
+	buf = append(buf, flags)
+	buf = le.AppendUint64(buf, uint64(k.count))
+	buf = le.AppendUint64(buf, uint64(k.nans))
+	buf = le.AppendUint64(buf, math.Float64bits(k.min))
+	buf = le.AppendUint64(buf, math.Float64bits(k.max))
 	if !k.bucketed {
-		writeU32(uint32(len(k.xs)))
+		buf = le.AppendUint32(buf, uint32(len(k.xs)))
 		for _, x := range k.xs {
-			writeU64(math.Float64bits(x))
+			buf = le.AppendUint64(buf, math.Float64bits(x))
 		}
-		return buf.Bytes(), nil
+		return buf, nil
 	}
-	writeU64(uint64(k.zero))
-	for _, m := range []map[int32]int64{k.neg, k.pos} {
-		bs := sortedBuckets(m)
-		writeU32(uint32(len(bs)))
-		for _, b := range bs {
-			writeU32(uint32(b.idx))
-			writeU64(uint64(b.n))
+	buf = le.AppendUint64(buf, uint64(k.zero))
+	for _, bs := range [2][]kllBucket{k.b.neg, k.b.pos} {
+		buf = le.AppendUint32(buf, uint32(len(bs)))
+		for _, bk := range bs {
+			buf = le.AppendUint32(buf, uint32(bk.idx))
+			buf = le.AppendUint64(buf, uint64(bk.n))
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// UnmarshalBinary restores a sketch serialized by MarshalBinary.
+// UnmarshalBinary restores a sketch serialized by MarshalBinary,
+// accepting only canonical states.
 func (k *KLL) UnmarshalBinary(data []byte) error {
 	rd := bytes.NewReader(data)
 	var magic [4]byte
@@ -642,7 +837,7 @@ func (k *KLL) UnmarshalBinary(data []byte) error {
 		}
 		return binary.LittleEndian.Uint32(b[:]), nil
 	}
-	r := &KLL{bucketed: flags&1 != 0}
+	r := KLL{bucketed: flags&1 != 0}
 	fields := []*int64{&r.count, &r.nans}
 	for _, f := range fields {
 		v, err := readU64()
@@ -663,8 +858,8 @@ func (k *KLL) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return err
 		}
-		if int64(n) != r.count || n > kllCutover {
-			return fmt.Errorf("stats: exact sketch has %d values for count %d", n, r.count)
+		if err := checkShape(false, r.count, int(n)); err != nil {
+			return err
 		}
 		for i := uint32(0); i < n; i++ {
 			v, err := readU64()
@@ -677,15 +872,16 @@ func (k *KLL) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("stats: exact sketch values not sorted")
 		}
 	} else {
+		if err := checkShape(true, r.count, 0); err != nil {
+			return err
+		}
 		z, err := readU64()
 		if err != nil {
 			return err
 		}
 		r.zero = int64(z)
-		total := r.zero
-		r.neg = map[int32]int64{}
-		r.pos = map[int32]int64{}
-		for _, m := range []map[int32]int64{r.neg, r.pos} {
+		r.b = &kllBuckets{}
+		for _, dst := range []*[]kllBucket{&r.b.neg, &r.b.pos} {
 			n, err := readU32()
 			if err != nil {
 				return err
@@ -699,20 +895,16 @@ func (k *KLL) UnmarshalBinary(data []byte) error {
 				if err != nil {
 					return err
 				}
-				if int64(cnt) <= 0 {
-					return fmt.Errorf("stats: invalid sketch bucket count %d", int64(cnt))
-				}
-				m[int32(idx)] = int64(cnt)
-				total += int64(cnt)
+				*dst = append(*dst, kllBucket{int32(idx), int64(cnt)})
 			}
 		}
-		if total != r.count {
-			return fmt.Errorf("stats: sketch bucket counts sum to %d, want %d", total, r.count)
+		if err := checkBuckets(r.count, r.zero, r.b.neg, r.b.pos); err != nil {
+			return err
 		}
 	}
 	if rd.Len() != 0 {
 		return fmt.Errorf("stats: %d trailing bytes after sketch", rd.Len())
 	}
-	*k = *r
+	*k = r
 	return nil
 }

@@ -6,50 +6,9 @@ import (
 	"testing"
 )
 
-// walkQuantile is the per-q reading Quantile did before Quantiles
-// existed: sort both bucket maps, then walk them in value order until
-// the cumulative count passes the rank.
-func walkQuantile(k *KLL, q float64) float64 {
-	if k.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return k.min
-	}
-	if q >= 1 {
-		return k.max
-	}
-	rank := int64(math.Round(q * float64(k.count-1)))
-	if !k.bucketed {
-		return k.xs[rank]
-	}
-	if rank == 0 {
-		return k.min
-	}
-	if rank == k.count-1 {
-		return k.max
-	}
-	var c int64
-	negs := sortedBuckets(k.neg)
-	for i := len(negs) - 1; i >= 0; i-- {
-		c += negs[i].n
-		if c > rank {
-			return clampRange(-bucketValue(negs[i].idx), k.min, k.max)
-		}
-	}
-	c += k.zero
-	if c > rank {
-		return clampRange(0, k.min, k.max)
-	}
-	for _, b := range sortedBuckets(k.pos) {
-		c += b.n
-		if c > rank {
-			return clampRange(bucketValue(b.idx), k.min, k.max)
-		}
-	}
-	return k.max
-}
-
+// TestKLLQuantilesMatchPerQuantile holds Quantiles and Quantile to the
+// map-based reference, bit for bit, across shapes, sizes on both sides
+// of the cutover, and out-of-range q.
 func TestKLLQuantilesMatchPerQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	qs := []float64{0.5, 0, 1, 1e-9, 0.05, 0.95, 0.25, 0.999, 0.5, 1 - 1e-12, -0.5, 1.5}
@@ -70,21 +29,23 @@ func TestKLLQuantilesMatchPerQuantile(t *testing.T) {
 	}
 	for name, draw := range draws {
 		for _, n := range []int{0, 1, 2, 17, kllCutover, kllCutover + 1, 500, 5000} {
-			k := NewKLL()
+			k, ref := NewKLL(), newMapKLL()
 			for i := 0; i < n; i++ {
-				k.Add(draw())
+				x := draw()
+				k.Add(x)
+				ref.Add(x)
 			}
 			got := k.Quantiles(qs, nil)
 			if len(got) != len(qs) {
 				t.Fatalf("%s/%d: %d estimates for %d quantiles", name, n, len(got), len(qs))
 			}
 			for i, q := range qs {
-				want := walkQuantile(k, q)
+				want := ref.Quantile(q)
 				if math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("%s/%d: Quantiles q=%v = %v, per-q walk = %v", name, n, q, got[i], want)
+					t.Fatalf("%s/%d: Quantiles q=%v = %v, map reference = %v", name, n, q, got[i], want)
 				}
 				if one := k.Quantile(q); math.Float64bits(one) != math.Float64bits(want) {
-					t.Fatalf("%s/%d: Quantile(%v) = %v, per-q walk = %v", name, n, q, one, want)
+					t.Fatalf("%s/%d: Quantile(%v) = %v, map reference = %v", name, n, q, one, want)
 				}
 			}
 		}
@@ -105,23 +66,26 @@ func TestKLLQuantilesAppends(t *testing.T) {
 	}
 }
 
+// BenchmarkKLLQuantiles reads three quantiles off a 500-value sketch:
+// "map" sorts the reference's bucket maps into fresh slices, "slices"
+// walks the sorted buckets in place.
 func BenchmarkKLLQuantiles(b *testing.B) {
-	k := NewKLL()
+	k, ref := NewKLL(), newMapKLL()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
-		k.Add(rng.Float64())
+		x := rng.Float64()
+		k.Add(x)
+		ref.Add(x)
 	}
 	qs := []float64{0.5, 0.9, 0.99}
 	out := make([]float64, 0, len(qs))
-	b.Run("per-q", func(b *testing.B) {
+	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, q := range qs {
-				walkQuantile(k, q)
-			}
+			out = ref.Quantiles(qs, out[:0])
 		}
 	})
-	b.Run("sort-once", func(b *testing.B) {
+	b.Run("slices", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			out = k.Quantiles(qs, out[:0])

@@ -246,6 +246,18 @@ func TestKLLSerializationRejectsGarbage(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"v":1,"count":100,"min":0,"max":1,"bucketed":true,"pos":[[0,5]]}`), &k); err == nil {
 		t.Fatal("bucket counts that do not sum to count accepted")
 	}
+	// Only canonical states decode: merge-equals-union (DESIGN.md §13)
+	// holds for them alone.
+	for _, c := range nonCanonicalKLLs() {
+		var k KLL
+		if bytes.HasPrefix(c.payload, kllMagic[:]) {
+			if err := k.UnmarshalBinary(c.payload); err == nil {
+				t.Errorf("%s accepted", c.name)
+			}
+		} else if err := json.Unmarshal(c.payload, &k); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
 }
 
 func TestKLLSpecialInputs(t *testing.T) {
@@ -409,6 +421,9 @@ func FuzzKLLRoundTrip(f *testing.F) {
 	f.Add(js)
 	f.Add([]byte{})
 	f.Add([]byte(`{"count":1}`))
+	for _, c := range nonCanonicalKLLs() {
+		f.Add(c.payload)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			t.Skip("decoder behavior is covered by small inputs; keep minimization cheap")
