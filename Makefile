@@ -102,7 +102,9 @@ audit: lint
 # append-form JSON and in-place merge fold (differentially, against
 # encoding/json and the pairwise merge chain they replaced) — plus the
 # attacker-facing decoders: both /predict_proba bodies (differentially,
-# against encoding/json), the /labels ingestion body, the W3C
+# against encoding/json; the shadow worker's reusing request decoder
+# against the one-shot decode, one body after another), the /labels
+# ingestion body, the W3C
 # traceparent header parser (every proxied request runs it), the
 # on-disk segment decoder (which must keep the valid prefix of any torn
 # or corrupted segment file without panicking), the aggregator's
@@ -114,6 +116,9 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMatchesMapReference -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzLatencyHistMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/cloud
+	# Its seeds pair whole request bodies: minimizing one new input for
+	# the default 60s would use up the budget.
+	$(GO) test -run NONE -fuzz FuzzRequestDecoderReuse -fuzztime 10s -fuzzminimizetime 1s ./internal/cloud
 	$(GO) test -run NONE -fuzz FuzzParseProbaResponse -fuzztime 10s ./internal/cloud
 	$(GO) test -run NONE -fuzz FuzzLabelsDecode -fuzztime 10s ./internal/labels
 	$(GO) test -run NONE -fuzz FuzzTraceparentParse -fuzztime 10s ./internal/obs

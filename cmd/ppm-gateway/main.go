@@ -57,7 +57,6 @@ import (
 
 	"blackboxval/internal/cli"
 	"blackboxval/internal/cloud"
-	"blackboxval/internal/data"
 	"blackboxval/internal/gateway"
 	"blackboxval/internal/labels"
 	"blackboxval/internal/monitor"
@@ -210,10 +209,7 @@ func run(opts options, logger *slog.Logger) error {
 		// Recover the raw serving rows from each proxied request body so
 		// the incident recorder's reservoir samples real feature vectors,
 		// not just model outputs.
-		classes := append([]string(nil), manifest.Classes...)
-		cfg.RawDecoder = func(body []byte) (*data.Dataset, error) {
-			return cloud.DecodeRequest(body, classes)
-		}
+		cfg.RawClasses = manifest.Classes
 		logger.Info("shadow validation on", "dataset", manifest.Dataset, "model", manifest.Model,
 			"reference_accuracy", manifest.TestScore, "alarm_line", mon.AlarmLine())
 	} else if opts.alertRules != "" {

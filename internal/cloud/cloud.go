@@ -47,18 +47,29 @@ func decodeRequest(req predictRequest) (*data.Dataset, error) {
 		ds.Labels = make([]int, set.Len())
 		return ds, nil
 	}
+	f, n, err := buildFrame(req.Columns)
+	if err != nil {
+		return nil, err
+	}
+	ds.Frame = f
+	ds.Labels = make([]int, n)
+	return ds, nil
+}
+
+// buildFrame assembles the frame of a tabular request over the decoded
+// column slices and returns its row count. Duplicate column names,
+// columns of unequal length, unknown kinds and a request without
+// columns are errors.
+func buildFrame(cols []wireColumn) (*frame.DataFrame, int, error) {
 	f := frame.New()
 	n := -1
-	for _, wc := range req.Columns {
-		rows := len(wc.Str)
-		if wc.Kind == "numeric" {
-			rows = len(wc.Num)
-		}
+	for _, wc := range cols {
+		rows := wc.rows()
 		if f.Column(wc.Name) != nil {
-			return nil, fmt.Errorf("cloud: duplicate column %q", wc.Name)
+			return nil, 0, fmt.Errorf("cloud: duplicate column %q", wc.Name)
 		}
 		if n >= 0 && rows != n {
-			return nil, fmt.Errorf("cloud: column %q has %d rows, want %d", wc.Name, rows, n)
+			return nil, 0, raggedColumn(wc, n)
 		}
 		switch wc.Kind {
 		case "numeric":
@@ -68,16 +79,26 @@ func decodeRequest(req predictRequest) (*data.Dataset, error) {
 		case "text":
 			f.AddText(wc.Name, wc.Str)
 		default:
-			return nil, fmt.Errorf("cloud: unknown column kind %q", wc.Kind)
+			return nil, 0, fmt.Errorf("cloud: unknown column kind %q", wc.Kind)
 		}
 		n = rows
 	}
 	if n < 0 {
-		return nil, fmt.Errorf("cloud: request has no columns or images")
+		return nil, 0, fmt.Errorf("cloud: request has no columns or images")
 	}
-	ds.Frame = f
-	ds.Labels = make([]int, n)
-	return ds, nil
+	return f, n, nil
+}
+
+// rows is the length of the column's cells of its kind.
+func (wc *wireColumn) rows() int {
+	if wc.Kind == "numeric" {
+		return len(wc.Num)
+	}
+	return len(wc.Str)
+}
+
+func raggedColumn(wc wireColumn, want int) error {
+	return fmt.Errorf("cloud: column %q has %d rows, want %d", wc.Name, wc.rows(), want)
 }
 
 // classNames returns placeholder names for a served model's classes.
@@ -269,10 +290,10 @@ func EncodeRequest(ds *data.Dataset) ([]byte, error) {
 
 // DecodeRequest reconstructs the unlabeled serving rows from a raw
 // /predict_proba request body. classes names the model's classes (the
-// decoded dataset needs a class list; pass the manifest's). It is
-// exported so the shadow-validation gateway can recover the raw
-// feature columns of a tapped request for incident forensics without
-// re-implementing the wire schema.
+// decoded dataset needs a class list; pass the manifest's). The result
+// is the caller's: it shares no storage with the decoder. A caller
+// decoding a stream of bodies one at a time can use a RequestDecoder,
+// which reuses its storage from one body to the next.
 func DecodeRequest(body []byte, classes []string) (*data.Dataset, error) {
 	req, err := readRequest(body)
 	if err != nil {
@@ -284,6 +305,157 @@ func DecodeRequest(body []byte, classes []string) (*data.Dataset, error) {
 	}
 	ds.Classes = append([]string(nil), classes...)
 	return ds, nil
+}
+
+// RequestDecoder is DecodeRequest for a stream of bodies decoded one at
+// a time, as the gateway's shadow worker decodes each tapped request
+// for the incident flight recorder. Each body decodes into the storage
+// the previous one used: the column slices, the interned strings, the
+// frame (while the column layout — names, kinds, order — is unchanged)
+// and the zeroed label slice, so a stream of like-shaped bodies decodes
+// without allocating. A decoded dataset equals DecodeRequest's for the
+// same body, value for value, and every error is the same; but it is
+// valid only until the next Decode. Image requests decode into new
+// storage. After each call, storage above a fixed bound
+// (maxPooledScratch elements, maxInternedBytes of interned strings) is
+// released, so one huge body cannot pin its columns. A RequestDecoder
+// is not safe for concurrent use.
+type RequestDecoder struct {
+	classes []string
+	d       decoder
+	cols    []wireColumn     // column storage, reset before each body
+	frame   *frame.DataFrame // the last tabular body's frame
+	labels  []int
+	ds      data.Dataset
+}
+
+// NewRequestDecoder returns a decoder whose datasets name classes.
+func NewRequestDecoder(classes []string) *RequestDecoder {
+	return &RequestDecoder{classes: append([]string(nil), classes...)}
+}
+
+// Decode decodes one request body like DecodeRequest. The dataset and
+// everything it references are valid until the next call.
+func (r *RequestDecoder) Decode(body []byte) (*data.Dataset, error) {
+	defer r.release()
+	r.reset()
+	d := &r.d
+	d.start(body)
+	req := predictRequest{Columns: r.cols[:0]}
+	err := d.request(&req)
+	if cap(req.Columns) > cap(r.cols) {
+		r.cols = req.Columns[:cap(req.Columns)]
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cloud: decoding request: %w", err)
+	}
+	if d.nrows > 0 {
+		req.Images = d.imageRows()
+		ds, err := decodeRequest(req)
+		if err != nil {
+			return nil, err
+		}
+		ds.Classes = r.classes
+		return ds, nil
+	}
+	n, err := r.fillFrame(req.Columns)
+	if err != nil {
+		return nil, err
+	}
+	if cap(r.labels) < n {
+		r.labels = make([]int, n)
+	}
+	labels := r.labels[:n:n]
+	clear(labels)
+	r.ds = data.Dataset{Frame: r.frame, Labels: labels, Classes: r.classes}
+	if r.retained() > maxPooledScratch { // release lets go of it all
+		ds := r.ds
+		return &ds, nil
+	}
+	return &r.ds, nil
+}
+
+// reset readies the kept column storage for the next body: names,
+// kinds and string cells cleared (a null string cell keeps what the
+// slice held, which must be "" as in a new slice), cell slices emptied
+// with their backing kept.
+func (r *RequestDecoder) reset() {
+	for i := range r.cols {
+		c := &r.cols[i]
+		clear(c.Str[:cap(c.Str)])
+		*c = wireColumn{Num: c.Num[:0], Str: c.Str[:0]}
+	}
+}
+
+// fillFrame points r.frame at the decoded columns and returns the row
+// count. While the column layout is the last body's, that frame is
+// reused: its layout was checked then, so only the row counts can
+// disagree. Otherwise buildFrame builds and checks a new one.
+func (r *RequestDecoder) fillFrame(cols []wireColumn) (int, error) {
+	f := r.frame
+	if f == nil || !sameLayout(f, cols) {
+		r.frame = nil
+		f, n, err := buildFrame(cols)
+		if err != nil {
+			return 0, err
+		}
+		r.frame = f
+		return n, nil
+	}
+	n := cols[0].rows()
+	for _, wc := range cols[1:] {
+		if wc.rows() != n {
+			return 0, raggedColumn(wc, n)
+		}
+	}
+	for i, c := range f.Columns() {
+		if c.Kind == frame.Numeric {
+			c.Num = cols[i].Num
+		} else {
+			c.Str = cols[i].Str
+		}
+	}
+	return n, nil
+}
+
+// sameLayout reports whether cols has f's column names and kinds, in
+// order.
+func sameLayout(f *frame.DataFrame, cols []wireColumn) bool {
+	fc := f.Columns()
+	if len(fc) != len(cols) {
+		return false
+	}
+	for i, c := range fc {
+		if c.Name != cols[i].Name || c.Kind.String() != cols[i].Kind {
+			return false
+		}
+	}
+	return true
+}
+
+// retained counts the elements of column storage the decoder keeps
+// between bodies.
+func (r *RequestDecoder) retained() int {
+	n := cap(r.cols) + cap(r.labels)
+	for _, c := range r.cols {
+		n += cap(c.Num) + cap(c.Str)
+	}
+	return n
+}
+
+// release lets go of the body and of storage above the retention bound.
+func (r *RequestDecoder) release() {
+	d := &r.d
+	d.end()
+	if d.internBytes > maxInternedBytes || len(d.intern) >= maxInterned {
+		d.clearInterned()
+	}
+	if d.oversized() {
+		d.floats, d.strs, d.cols, d.arena, d.rows = nil, nil, nil, nil, nil
+	}
+	if r.retained() > maxPooledScratch {
+		r.cols, r.frame, r.labels, r.ds = nil, nil, nil, data.Dataset{}
+	}
 }
 
 // NumClasses implements data.Model. It is learned from the first

@@ -80,8 +80,9 @@ var errUnexpectedEnd = errors.New("unexpected end of JSON input")
 type span struct{ off, n, cap int }
 
 // decoder holds one body's parse position and the scratch space its
-// arrays are decoded into. Decoders are pooled; nothing in the scratch
-// space outlives the decode call that used it.
+// arrays are decoded into. Decoders are pooled, or owned by a
+// RequestDecoder; no decoded value stays in the scratch space after the
+// decode call that used it.
 type decoder struct {
 	buf   []byte
 	pos   int
@@ -93,46 +94,87 @@ type decoder struct {
 	arena  []float64    // row values of Images / Probabilities
 	rows   []span       // rows decoded so far (memory for duplicate keys)
 	nrows  int          // rows in the current value
-	intern map[string]string
+
+	intern      map[string]string
+	internBytes int // bytes of the interned strings
 }
 
 // maxInterned bounds the decoder's table of shared strings, so a body
-// of unique strings cannot grow it without limit.
-const maxInterned = 1024
+// of unique strings cannot grow it without limit; maxInternedBytes
+// bounds the bytes a RequestDecoder keeps interned between bodies.
+const (
+	maxInterned      = 1024
+	maxInternedBytes = 64 << 10
+)
 
-// maxPooledScratch is the largest scratch slice a decoder keeps when it
-// returns to the pool; a bigger body's scratch is left to the GC.
+// maxPooledScratch is the largest scratch slice a decoder keeps between
+// bodies, and the most elements of column storage a RequestDecoder
+// keeps; a bigger body's storage is left to the GC.
 const maxPooledScratch = 1 << 16
 
-var decoders = sync.Pool{New: func() any {
-	return &decoder{intern: make(map[string]string)}
-}}
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
 func getDecoder(body []byte) *decoder {
 	d := decoders.Get().(*decoder)
-	d.buf, d.pos, d.depth = body, 0, 0
-	d.arena, d.rows, d.nrows = d.arena[:0], d.rows[:0], 0
+	d.start(body)
 	return d
 }
 
 func putDecoder(d *decoder) {
+	d.end()
+	d.clearInterned()
+	if !d.oversized() {
+		decoders.Put(d)
+	}
+}
+
+// start readies the decoder for body.
+func (d *decoder) start(body []byte) {
+	d.buf, d.pos, d.depth = body, 0, 0
+	d.arena, d.rows, d.nrows = d.arena[:0], d.rows[:0], 0
+	if d.intern == nil {
+		d.intern = make(map[string]string)
+	}
+}
+
+// end drops the decoder's references into the body it decoded and the
+// values it decoded, so its scratch space pins neither.
+func (d *decoder) end() {
 	d.buf = nil
 	clear(d.strs[:cap(d.strs)])
 	clear(d.cols[:cap(d.cols)])
-	clear(d.intern)
-	if cap(d.floats) > maxPooledScratch || cap(d.strs) > maxPooledScratch ||
-		cap(d.cols) > maxPooledScratch || cap(d.arena) > maxPooledScratch || cap(d.rows) > maxPooledScratch {
-		return
-	}
-	decoders.Put(d)
 }
 
-// readRequest decodes a /predict_proba request body.
+func (d *decoder) clearInterned() {
+	clear(d.intern)
+	d.internBytes = 0
+}
+
+// oversized reports whether a scratch slice grew past maxPooledScratch.
+func (d *decoder) oversized() bool {
+	return cap(d.floats) > maxPooledScratch || cap(d.strs) > maxPooledScratch ||
+		cap(d.cols) > maxPooledScratch || cap(d.arena) > maxPooledScratch || cap(d.rows) > maxPooledScratch
+}
+
+// readRequest decodes a /predict_proba request body into storage the
+// caller owns.
 func readRequest(body []byte) (predictRequest, error) {
 	d := getDecoder(body)
 	defer putDecoder(d)
 	var req predictRequest
-	err := d.top(func(key []byte) error {
+	if err := d.request(&req); err != nil {
+		return predictRequest{}, err
+	}
+	if d.nrows > 0 {
+		req.Images = d.imageRows()
+	}
+	return req, nil
+}
+
+// request decodes the body into req, whose slices are the memory the
+// decode reuses (see columns); the image rows stay in d.rows.
+func (d *decoder) request(req *predictRequest) error {
+	return d.top(func(key []byte) error {
 		switch {
 		case keyIs(key, "columns"):
 			if d.null() {
@@ -154,22 +196,26 @@ func readRequest(body []byte) (predictRequest, error) {
 		}
 		return d.skip()
 	})
-	if err != nil {
-		return predictRequest{}, err
-	}
-	if d.nrows > 0 {
-		req.Images = d.imageRows()
-	}
-	return req, nil
 }
 
 // ParseProbaResponse decodes the JSON body of a /predict_proba response
-// into a probability matrix. It is exported so serving-path components
-// (e.g. the shadow-validation gateway) can tap logged response bodies
-// without re-implementing the wire schema. Every row's width is checked
-// against num_classes before the matrix is allocated, so the allocation
-// is bounded by the values the body actually holds.
+// into a new probability matrix. It is exported so serving-path
+// components (e.g. the shadow-validation gateway) can tap logged
+// response bodies without re-implementing the wire schema. Every row's
+// width is checked against num_classes before the matrix is allocated,
+// so the allocation is bounded by the values the body actually holds.
 func ParseProbaResponse(body []byte) (proba *linalg.Matrix, numClasses int, err error) {
+	proba = new(linalg.Matrix)
+	if numClasses, err = ParseProbaResponseInto(proba, body); err != nil {
+		return nil, 0, err
+	}
+	return proba, numClasses, nil
+}
+
+// ParseProbaResponseInto is ParseProbaResponse into dst: the matrix
+// takes the values in dst's storage when it holds them, else in new
+// storage of their exact size. dst is left as it was on error.
+func ParseProbaResponseInto(dst *linalg.Matrix, body []byte) (numClasses int, err error) {
 	d := getDecoder(body)
 	defer putDecoder(d)
 	err = d.top(func(key []byte) error {
@@ -182,22 +228,26 @@ func ParseProbaResponse(body []byte) (proba *linalg.Matrix, numClasses int, err 
 		return d.skip()
 	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("cloud: decoding response: %w", err)
+		return 0, fmt.Errorf("cloud: decoding response: %w", err)
 	}
 	if numClasses <= 0 {
-		return nil, 0, fmt.Errorf("cloud: response reports %d classes", numClasses)
+		return 0, fmt.Errorf("cloud: response reports %d classes", numClasses)
 	}
 	rows := d.rows[:d.nrows]
 	for i, r := range rows {
 		if r.n != numClasses {
-			return nil, 0, fmt.Errorf("cloud: row %d has %d probabilities, want %d", i, r.n, numClasses)
+			return 0, fmt.Errorf("cloud: row %d has %d probabilities, want %d", i, r.n, numClasses)
 		}
 	}
-	out := linalg.NewMatrix(len(rows), numClasses)
-	for i, r := range rows {
-		copy(out.Row(i), d.arena[r.off:r.off+r.n])
+	n := len(rows) * numClasses
+	if cap(dst.Data) < n {
+		dst.Data = make([]float64, n)
 	}
-	return out, numClasses, nil
+	dst.Rows, dst.Cols, dst.Data = len(rows), numClasses, dst.Data[:n]
+	for i, r := range rows {
+		copy(dst.Row(i), d.arena[r.off:r.off+r.n])
+	}
+	return numClasses, nil
 }
 
 // top decodes the body's single top-level value as an object (null
@@ -727,6 +777,7 @@ func (d *decoder) string() (string, error) {
 	s := string(body)
 	if len(d.intern) < maxInterned {
 		d.intern[s] = s
+		d.internBytes += len(s)
 	}
 	return s, nil
 }

@@ -567,7 +567,7 @@ func FuzzParseProbaResponse(f *testing.F) {
 	})
 }
 
-func benchBodies(b *testing.B) (req, resp []byte) {
+func benchBodies(b testing.TB) (req, resp []byte) {
 	ds := datagen.Income(500, 1)
 	req, err := EncodeRequest(ds)
 	if err != nil {

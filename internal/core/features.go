@@ -38,16 +38,36 @@ func sortedStatistics(cols [][]float64, step float64) []float64 {
 	return out
 }
 
-// SortedColumns returns every class column of proba as an ascending copy:
-// the one sorted view of a batch from which the Algorithm 2 percentiles,
-// the validator's KS features and the monitor's drift statistics are all
-// read, so each column is sorted once however many of them a caller
-// computes. proba is left in row order — the drift timeline and the
-// reference sketches consume it that way.
+// SortedColumns returns every class column of proba as an ascending copy
+// in new storage: the one sorted view of a batch from which the
+// Algorithm 2 percentiles, the validator's KS features and the monitor's
+// drift statistics are all read, so each column is sorted once however
+// many of them a caller computes. proba is left in row order — the
+// drift timeline and the reference sketches consume it that way.
 func SortedColumns(proba *linalg.Matrix) [][]float64 {
-	rows := proba.Rows
-	buf := make([]float64, rows*proba.Cols)
-	cols := make([][]float64, proba.Cols)
+	var s ColumnSorter
+	return s.Sort(proba)
+}
+
+// ColumnSorter builds SortedColumns views in storage it keeps from one
+// call to the next. The zero value is ready to use; not safe for
+// concurrent use.
+type ColumnSorter struct {
+	buf  []float64
+	cols [][]float64
+}
+
+// Sort returns SortedColumns(proba) in the sorter's storage, grown to
+// exact size when too small. The view is valid until the next Sort.
+func (s *ColumnSorter) Sort(proba *linalg.Matrix) [][]float64 {
+	rows, n := proba.Rows, proba.Rows*proba.Cols
+	if cap(s.buf) < n {
+		s.buf = make([]float64, n)
+	}
+	if cap(s.cols) < proba.Cols {
+		s.cols = make([][]float64, proba.Cols)
+	}
+	buf, cols := s.buf[:n], s.cols[:proba.Cols]
 	for c := range cols {
 		col := buf[c*rows : (c+1)*rows : (c+1)*rows]
 		for i := range col {

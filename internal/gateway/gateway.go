@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"blackboxval/internal/cloud"
-	"blackboxval/internal/data"
 	"blackboxval/internal/fed"
 	"blackboxval/internal/labels"
 	"blackboxval/internal/monitor"
@@ -65,13 +64,14 @@ type Config struct {
 	Breaker BreakerConfig
 	// ShadowQueueSize bounds the async validation queue (default 256).
 	ShadowQueueSize int
-	// RawDecoder, when set alongside Monitor, decodes each tapped
-	// request body back into the raw serving rows (cloud.DecodeRequest
-	// with the bundle's class list) so the monitor's batch observers —
+	// RawClasses, when set alongside Monitor, names the model's classes
+	// (the bundle's class list) for decoding each tapped request body
+	// back into the raw serving rows, so the monitor's batch observers —
 	// the incident flight recorder's reservoir — see the features that
-	// produced the outputs. Nil disables raw capture: the tap then
-	// carries response bodies only, exactly as before.
-	RawDecoder func(reqBody []byte) (*data.Dataset, error)
+	// produced the outputs. The shadow worker decodes with a
+	// cloud.RequestDecoder of its own. Nil disables raw capture: the tap
+	// then carries response bodies only.
+	RawClasses []string
 	// MaxBodyBytes caps accepted request bodies (default 256 MiB, the
 	// same cap the model server applies).
 	MaxBodyBytes int64
@@ -189,7 +189,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.shadow = newShadowTap(cfg.Monitor, cfg.ShadowQueueSize, cfg.Logger, g.metrics, func(rec monitor.Record) {
 			g.metrics.estimate.Set(rec.Estimate)
 			g.metrics.alarm.Set(boolGauge(cfg.Monitor.Alarming()))
-		}, cfg.RawDecoder)
+		}, cfg.RawClasses)
 		g.shadow.observeStage = g.slo.observeStage
 		g.metrics.shadowDepth.SetFunc(func() float64 { return float64(g.shadow.Depth()) })
 	}

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"blackboxval/internal/cloud"
-	"blackboxval/internal/data"
 	"blackboxval/internal/monitor"
 )
 
@@ -22,13 +20,10 @@ func TestShadowTapSurvivesHostileRequestBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes := append([]string(nil), f.serving.Classes...)
 	g, srv := newGateway(t, Config{
-		Monitor: mon,
-		RawDecoder: func(body []byte) (*data.Dataset, error) {
-			return cloud.DecodeRequest(body, classes)
-		},
-		Logger: log.New(io.Discard, "", 0),
+		Monitor:    mon,
+		RawClasses: f.serving.Classes,
+		Logger:     log.New(io.Discard, "", 0),
 	}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")

@@ -44,7 +44,7 @@ func scaleAge(ds *data.Dataset, magnitude float64, rng *rand.Rand) *data.Dataset
 
 // TestEndToEndIncidentCapture is this PR's acceptance scenario: a
 // single-column scaling corruption ramped through the gateway's shadow
-// path (raw request bodies decoded back into datasets by RawDecoder)
+// path (raw request bodies decoded back into datasets by the tap's RequestDecoder)
 // trips the alarm rule, the alert hook auto-captures an incident
 // bundle, the bundle's per-column attribution ranks the corrupted
 // column top-1, its worst-batch X-Request-IDs resolve in the monitor's
@@ -89,14 +89,11 @@ func TestEndToEndIncidentCapture(t *testing.T) {
 	}
 	mon.Timeline().OnWindowClose(engine.Evaluate)
 
-	classes := append([]string(nil), f.serving.Classes...)
 	g, _ := newGateway(t, Config{
-		Monitor: mon,
-		RawDecoder: func(body []byte) (*data.Dataset, error) {
-			return cloud.DecodeRequest(body, classes)
-		},
-		Tracer: obs.NewTracer(64),
-		Logger: log.New(io.Discard, "", 0),
+		Monitor:    mon,
+		RawClasses: f.serving.Classes,
+		Tracer:     obs.NewTracer(64),
+		Logger:     log.New(io.Discard, "", 0),
 	}, cloud.NewServer(f.model).Handler())
 
 	// Mount the recorder next to the gateway handler exactly the way

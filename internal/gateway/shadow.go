@@ -9,6 +9,7 @@ import (
 
 	"blackboxval/internal/cloud"
 	"blackboxval/internal/data"
+	"blackboxval/internal/linalg"
 	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
 )
@@ -17,7 +18,11 @@ import (
 // off the hot path. A bounded queue decouples serving latency from
 // shadow-validation cost; under pressure the tap drops the OLDEST
 // queued batch — recency matters more than completeness for drift
-// detection, and traffic must never block on validation.
+// detection, and traffic must never block on validation. Its one
+// worker goroutine decodes every batch into storage the tap keeps from
+// one batch to the next (the response matrix, the raw decoder's
+// columns), which the monitor borrows for the length of one
+// observation.
 type shadowTap struct {
 	mon     *monitor.Monitor
 	logger  *log.Logger
@@ -38,25 +43,35 @@ type shadowTap struct {
 	// serving SLO observatory (runs on the shadow worker, off the hot
 	// path).
 	observeStage func(stage string, seconds float64, requestID string)
-	// rawDecoder, when set, recovers the raw serving rows from the
-	// request body so monitor batch observers (the incident reservoir)
-	// see them. Nil = response-only tap.
-	rawDecoder func(reqBody []byte) (*data.Dataset, error)
+	// raw, when set, recovers the raw serving rows from the request
+	// body so monitor batch observers (the incident reservoir) see
+	// them. Nil = response-only tap. Only the worker calls it.
+	raw *cloud.RequestDecoder
+	// proba is the worker's response matrix, reused batch to batch.
+	proba linalg.Matrix
 }
 
-func newShadowTap(mon *monitor.Monitor, capacity int, logger *log.Logger, metrics *Metrics, onRecord func(monitor.Record), rawDecoder func([]byte) (*data.Dataset, error)) *shadowTap {
+// maxKeptProba bounds the response matrix (in values) the worker keeps
+// between batches; a bigger batch's matrix is left to the GC.
+const maxKeptProba = 1 << 16
+
+// newShadowTap starts a tap feeding mon. rawClasses, when non-nil, names
+// the model's classes for decoding each tapped request body.
+func newShadowTap(mon *monitor.Monitor, capacity int, logger *log.Logger, metrics *Metrics, onRecord func(monitor.Record), rawClasses []string) *shadowTap {
 	if capacity <= 0 {
 		capacity = 256
 	}
 	t := &shadowTap{
-		mon:        mon,
-		logger:     logger,
-		metrics:    metrics,
-		cap:        capacity,
-		wake:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		onRecord:   onRecord,
-		rawDecoder: rawDecoder,
+		mon:      mon,
+		logger:   logger,
+		metrics:  metrics,
+		cap:      capacity,
+		wake:     make(chan struct{}, 1),
+		done:     make(chan struct{}),
+		onRecord: onRecord,
+	}
+	if rawClasses != nil {
+		t.raw = cloud.NewRequestDecoder(rawClasses)
 	}
 	t.wg.Add(1)
 	go t.run()
@@ -94,7 +109,7 @@ func (t *shadowTap) EnqueueWithRequest(reqBody, body []byte, requestID string) {
 // observation becomes a child span of the request even though it runs
 // on the shadow worker after the response was already sent.
 func (t *shadowTap) EnqueueWithTrace(reqBody, body []byte, requestID string, tc obs.TraceContext) {
-	if t.rawDecoder == nil {
+	if t.raw == nil {
 		reqBody = nil
 	}
 	t.mu.Lock()
@@ -161,9 +176,16 @@ func (t *shadowTap) pop() (shadowItem, bool) {
 	return item, true
 }
 
+// observe decodes one queued batch into the tap's storage and feeds it
+// to the monitor, which borrows it for the call.
 func (t *shadowTap) observe(item shadowItem) {
-	proba, _, err := cloud.ParseProbaResponse(item.body)
-	if err != nil || proba.Rows == 0 {
+	defer func() {
+		if cap(t.proba.Data) > maxKeptProba {
+			t.proba = linalg.Matrix{}
+		}
+	}()
+	proba := &t.proba
+	if _, err := cloud.ParseProbaResponseInto(proba, item.body); err != nil || proba.Rows == 0 {
 		t.metrics.shadowDropped.Add(1, "undecodable")
 		if err != nil && t.logger != nil {
 			t.logger.Printf("gateway: shadow tap cannot decode backend response: %v", err)
@@ -171,8 +193,8 @@ func (t *shadowTap) observe(item shadowItem) {
 		return
 	}
 	var batch *data.Dataset
-	if t.rawDecoder != nil && item.reqBody != nil {
-		ds, err := t.rawDecoder(item.reqBody)
+	if t.raw != nil && item.reqBody != nil {
+		ds, err := t.raw.Decode(item.reqBody)
 		if err != nil {
 			// Attribution degrades gracefully: observe the outputs anyway.
 			t.metrics.shadowDropped.Add(1, "raw_undecodable")

@@ -52,11 +52,15 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Col copies column j into a new slice.
 func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
+	return m.AppendCol(make([]float64, 0, m.Rows), j)
+}
+
+// AppendCol appends column j to dst and returns the extended slice.
+func (m *Matrix) AppendCol(dst []float64, j int) []float64 {
 	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
+		dst = append(dst, m.Data[i*m.Cols+j])
 	}
-	return out
+	return dst
 }
 
 // Clone returns a deep copy of m.

@@ -207,6 +207,11 @@ func New(cfg Config) (*Monitor, error) {
 // feed the drift timeline — so by the time a window close fires an
 // alert hook, observers (e.g. the incident flight recorder's
 // reservoir) have already seen the triggering batch.
+//
+// batch and proba are borrowed: they are valid only during the call
+// (the gateway's shadow worker decodes the next batch into the same
+// storage), so an observer copies whatever it keeps, as the incident
+// reservoir and the label store do.
 type BatchObserver func(batch *data.Dataset, proba *linalg.Matrix, rec Record)
 
 // OnObserve registers fn as a batch observer. Register before traffic
@@ -278,10 +283,31 @@ func (m *Monitor) ObserveBatchProbaCtx(ctx context.Context, batch *data.Dataset,
 	return m.observeBatchProba(batch, proba, requestID, "")
 }
 
+// observeScratch is one observation's working storage: the sorted view
+// and the row-order column feedTimeline records. It is pooled, so each
+// observing goroutine has its own and a stream of batches allocates
+// none.
+type observeScratch struct {
+	sorter core.ColumnSorter
+	col    []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(observeScratch) }}
+
+// maxPooledCells bounds the batch (rows × classes) whose scratch goes
+// back to the pool; a bigger batch's is left to the GC.
+const maxPooledCells = 1 << 16
+
 func (m *Monitor) observeBatchProba(batch *data.Dataset, proba *linalg.Matrix, requestID, traceID string) Record {
+	s := scratchPool.Get().(*observeScratch)
+	defer func() {
+		if proba.Rows*proba.Cols <= maxPooledCells {
+			scratchPool.Put(s)
+		}
+	}()
 	// One sorted view serves every order statistic below; proba itself
 	// stays in row order for the observers and the timeline.
-	cols := core.SortedColumns(proba)
+	cols := s.sorter.Sort(proba)
 	estimate := m.cfg.Predictor.EstimateFromSorted(cols)
 	rec := Record{
 		Size:              proba.Rows,
@@ -298,7 +324,7 @@ func (m *Monitor) observeBatchProba(batch *data.Dataset, proba *linalg.Matrix, r
 	m.drift(&rec, cols)
 	m.commitState(&rec)
 	m.notifyObservers(batch, proba, rec)
-	m.feedTimeline(&rec, proba)
+	m.feedTimeline(&rec, proba, s)
 	return rec
 }
 
@@ -361,8 +387,9 @@ func (m *Monitor) commitState(rec *Record) {
 // rules address them. When the batch's raw model outputs are available
 // they feed per-class proba_class_<c> series, whose window sketches are
 // the serving-side drift-test sufficient statistics the federation
-// layer merges across replicas.
-func (m *Monitor) feedTimeline(rec *Record, proba *linalg.Matrix) {
+// layer merges across replicas. Each class column is copied in row
+// order into s.col, which the timeline reads and does not keep.
+func (m *Monitor) feedTimeline(rec *Record, proba *linalg.Matrix, s *observeScratch) {
 	m.timeline.Record("estimate", rec.Estimate)
 	m.timeline.Record("alarm", boolSeries(rec.Alarming))
 	m.timeline.Record("violation", boolSeries(rec.Violating))
@@ -376,7 +403,8 @@ func (m *Monitor) feedTimeline(rec *Record, proba *linalg.Matrix) {
 	}
 	if proba != nil {
 		for c := 0; c < proba.Cols; c++ {
-			m.timeline.RecordAll(probaSeries(c), proba.Col(c))
+			s.col = proba.AppendCol(s.col[:0], c)
+			m.timeline.RecordAll(probaSeries(c), s.col)
 		}
 	}
 	m.timeline.Commit()
@@ -427,7 +455,7 @@ func (m *Monitor) ObserveRow(probaRow []float64) (rec Record, done bool) {
 	rec.Violating = rec.EstimateViolation
 	m.commitState(&rec)
 	m.notifyObservers(nil, nil, rec)
-	m.feedTimeline(&rec, nil)
+	m.feedTimeline(&rec, nil, nil)
 	return rec, true
 }
 

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"blackboxval/internal/data"
 	"blackboxval/internal/datagen"
 	"blackboxval/internal/errorgen"
+	"blackboxval/internal/linalg"
 	"blackboxval/internal/models"
 )
 
@@ -267,5 +269,59 @@ func TestConcurrentObserve(t *testing.T) {
 			t.Fatal("duplicate sequence number under concurrency")
 		}
 		seen[rec.Seq] = true
+	}
+}
+
+// Observations running at once each sort and copy into their own pooled
+// scratch: every record equals the one a serial observation of the same
+// batch produces, bit for bit. Run it under -race -count=10.
+func TestConcurrentObserveMatchesSerial(t *testing.T) {
+	f := getFixture(t)
+	rng := rand.New(rand.NewSource(4))
+	gens := errorgen.KnownTabular()
+	probas := make([]*linalg.Matrix, 24)
+	for i := range probas {
+		batch := f.serving.Sample(20+rng.Intn(400), rng)
+		if i%2 == 1 {
+			batch = gens[i%len(gens)].Corrupt(batch, 0.8, rng)
+		}
+		probas[i] = f.model.PredictProba(batch)
+	}
+	fresh := func() *Monitor {
+		m, err := New(Config{Predictor: f.pred, Validator: f.val})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := make([]Record, len(probas))
+	for i, p := range probas {
+		want[i] = fresh().ObserveBatchProbaCtx(context.Background(), nil, p, "")
+	}
+
+	m := fresh()
+	got := make([]Record, len(probas))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(probas); i += 4 {
+				got[i] = m.ObserveBatchProbaCtx(context.Background(), nil, probas[i], "")
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range probas {
+		g, w := got[i], want[i]
+		if !sameFloat(g.Estimate, w.Estimate) || g.Violating != w.Violating || !sameFloat(g.KSMax, w.KSMax) ||
+			len(g.KS) != len(w.KS) || len(g.P50Shift) != len(w.P50Shift) {
+			t.Fatalf("batch %d: concurrent record %+v, serial %+v", i, g, w)
+		}
+		for c := range w.KS {
+			if !sameFloat(g.KS[c], w.KS[c]) || !sameFloat(g.P50Shift[c], w.P50Shift[c]) {
+				t.Fatalf("batch %d class %d: concurrent drift %v/%v, serial %v/%v", i, c, g.KS[c], g.P50Shift[c], w.KS[c], w.P50Shift[c])
+			}
+		}
 	}
 }

@@ -102,10 +102,18 @@ func TestObserveRecordsMatchPerCallFormulas(t *testing.T) {
 			t.Fatalf("batch %d closed no timeline window", i)
 		}
 		for c := 0; c < proba.Cols; c++ {
+			// A NaN cell is a missing sample: the window counts the
+			// others and ends in the last of them.
+			rows, last := 0, 0.0
+			for r := 0; r < proba.Rows; r++ {
+				if v := proba.At(r, c); !math.IsNaN(v) {
+					rows, last = rows+1, v
+				}
+			}
 			agg := w.Series[probaSeries(c)]
-			if agg.Count != proba.Rows || !sameFloat(agg.Last, proba.At(proba.Rows-1, c)) {
+			if agg.Count != rows || !sameFloat(agg.Last, last) {
 				t.Fatalf("batch %d: %s count %d last %v, want %d rows ending in %v (row order)",
-					i, probaSeries(c), agg.Count, agg.Last, proba.Rows, proba.At(proba.Rows-1, c))
+					i, probaSeries(c), agg.Count, agg.Last, rows, last)
 			}
 		}
 	}

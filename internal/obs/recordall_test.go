@@ -2,10 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // sameAggregate reports whether two closed-window aggregates are
@@ -121,5 +123,50 @@ func BenchmarkTimeSeriesClose(b *testing.B) {
 				ts.Commit()
 			}
 		})
+	}
+}
+
+// A NaN sample is missing, wherever it falls: Record and RecordAll of
+// [NaN, 1, 2] and [1, NaN, 2] close the same window as [1, 2], and it
+// encodes (JSON has no NaN).
+func TestNaNSampleLeavesWindowIntact(t *testing.T) {
+	nan := math.NaN()
+	var want []byte
+	for i, vs := range [][]float64{{1, 2}, {nan, 1, 2}, {1, nan, 2}, {1, 2, nan}} {
+		for _, all := range []bool{false, true} {
+			ts, err := NewTimeSeries(TimeSeriesConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if all {
+				ts.RecordAll("s", vs)
+			} else {
+				for _, v := range vs {
+					ts.Record("s", v)
+				}
+			}
+			ts.Commit()
+			w := ts.Windows()[0]
+			a := w.Series["s"]
+			if a.Count != 2 || a.Sum != 3 || a.Min != 1 || a.Max != 2 || a.Last != 2 {
+				t.Fatalf("%v (RecordAll %v): aggregate %+v, want count 2 sum 3 min 1 max 2 last 2", vs, all, a)
+			}
+			if _, err := json.Marshal(w); err != nil {
+				t.Fatalf("%v (RecordAll %v): window does not encode: %v", vs, all, err)
+			}
+			w.Start, w.End = time.Time{}, time.Time{}
+			got, err := w.AppendJSON(nil)
+			if err != nil {
+				t.Fatalf("%v (RecordAll %v): AppendJSON: %v", vs, all, err)
+			}
+			if i > 0 { // the NaN is counted by the sketch alone
+				got = bytes.Replace(got, []byte(`,"nans":1`), nil, 1)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%v (RecordAll %v): window %s, want %s", vs, all, got, want)
+			}
+		}
 	}
 }

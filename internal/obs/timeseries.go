@@ -12,6 +12,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -187,8 +188,14 @@ func (ts *TimeSeries) seriesLocked(series string) *openSeries {
 }
 
 // addLocked adds v to every aggregate of s but the sketch, which the
-// caller feeds.
+// caller feeds. NaN is a missing sample: it is left out of the count,
+// sum, extremes and last, as the sketch leaves it out of its count, so
+// a window's aggregates never depend on where a NaN fell and always
+// encode.
 func (ts *TimeSeries) addLocked(s *openSeries, v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	if ts.openStart.IsZero() {
 		ts.openStart = time.Now()
 	}

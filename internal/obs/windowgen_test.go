@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"time"
@@ -12,9 +11,10 @@ import (
 // windowGen decodes fuzz bytes into timeline windows that reach every
 // corner the encoder and the merge fold must agree on: empty and
 // negative counts, NaN/±Inf/-0 values, nil and empty quantile maps,
-// nil, flagged and negative exact sums, exact, bucketed, all-NaN and
-// hostile-but-decodable sketches, escaped series names and times in
-// other zones. An exhausted input reads as zeros.
+// nil, flagged and negative exact sums, exact, bucketed, all-NaN,
+// binary-round-tripped and hostile-but-canonical sketches, escaped
+// series names and times in other zones. An exhausted input reads as
+// zeros.
 type windowGen struct{ data []byte }
 
 func (g *windowGen) byte() byte {
@@ -113,31 +113,31 @@ func (g *windowGen) sketch() *stats.KLL {
 			k.Add(base * float64(i%23-7) / 3)
 		}
 		return k
-	case 6: // decodable but hostile: negative zero counts, extremes that disagree with the buckets
+	case 6: // hostile but canonical, so decodable: extremes at the ends of the float range, huge counts
 		var k stats.KLL
 		js := []string{
-			`{"v":1,"count":65,"min":0,"max":0,"bucketed":true,"zero":-3,"pos":[[7,68]]}`,
-			`{"v":1,"count":66,"min":1,"max":2,"bucketed":true,"zero":-2,"neg":[[3,68]]}`,
-			`{"v":1,"count":0,"nans":4,"min":5,"max":-5,"zero":9}`,
+			`{"v":1,"count":70,"min":-1.7976931348623157e308,"max":5e-324,"bucketed":true,"zero":3,"neg":[[131199,2]],"pos":[[-137344,65]]}`,
+			`{"v":1,"count":1099511627776,"nans":1099511627776,"min":1,"max":1.0078,"bucketed":true,"pos":[[128,1099511627776]]}`,
+			`{"v":1,"count":0,"nans":1099511627776,"min":0,"max":0}`,
 		}[g.byte()%3]
 		if err := k.UnmarshalJSON([]byte(js)); err != nil {
 			panic(err)
 		}
 		return &k
-	default: // a binary-decoded exact sketch, possibly with nonfinite extremes
-		var b []byte
-		b = append(b, 'K', 'L', 'S', 1, 0)
-		b = binary.LittleEndian.AppendUint64(b, 1)
-		b = binary.LittleEndian.AppendUint64(b, 0)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(g.float()))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2))
-		b = binary.LittleEndian.AppendUint32(b, 1)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2))
-		var k stats.KLL
-		if err := k.UnmarshalBinary(b); err != nil {
+	default: // a binary round trip of an exact sketch of special values
+		k := stats.NewKLL()
+		for i := 1 + int(g.byte()%3); i > 0; i-- {
+			k.Add(g.float())
+		}
+		b, err := k.MarshalBinary()
+		if err != nil {
 			panic(err)
 		}
-		return &k
+		var r stats.KLL
+		if err := r.UnmarshalBinary(b); err != nil {
+			panic(err)
+		}
+		return &r
 	}
 }
 

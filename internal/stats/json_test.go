@@ -83,12 +83,10 @@ func TestKLLAppendJSONMatchesReflection(t *testing.T) {
 			t.Fatalf("reset sketch encodes as %s", got)
 		}
 	}
-	// States only a decoded payload holds: an exact sketch with a zero
-	// count field, a nonfinite extreme from the binary form.
-	var odd KLL
-	if err := json.Unmarshal([]byte(`{"v":1,"count":0,"nans":2,"min":1,"max":-1,"zero":4}`), &odd); err != nil {
-		t.Fatal(err)
-	}
+	// States no Add sequence or decoder produces, built directly: an
+	// exact sketch with a zero count field and extremes that disagree
+	// with its values, then a nonfinite extreme.
+	odd := KLL{nans: 2, min: 1, max: -1, zero: 4}
 	checkKLLJSON(t, &odd)
 	odd.min = math.NaN()
 	checkKLLJSON(t, &odd)

@@ -634,8 +634,9 @@ type kllJSON struct {
 func (k *KLL) MarshalJSON() ([]byte, error) { return k.AppendJSON(nil) }
 
 // AppendJSON appends the canonical JSON of the sketch to b: the bytes
-// encoding/json writes for kllJSON. A nonfinite min or max (only a
-// binary-decoded sketch can hold one) is an error, as it is there.
+// encoding/json writes for kllJSON. A nonfinite min or max is an error,
+// as it is there (no sketch holds one: Add clamps infinities, and both
+// decoders reject them).
 func (k *KLL) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"v":`...)
 	b = strconv.AppendInt(b, kllVersion, 10)
@@ -708,6 +709,81 @@ func checkShape(bucketed bool, count int64, nxs int) error {
 	return nil
 }
 
+// checkCounts rejects negative NaN and zero counts, and zeros counted
+// outside the bucketed regime (the exact regime keeps zeros in xs).
+func checkCounts(bucketed bool, nans, zero int64) error {
+	if nans < 0 || zero < 0 {
+		return fmt.Errorf("stats: sketch has negative counts (nans %d, zero %d)", nans, zero)
+	}
+	if !bucketed && zero != 0 {
+		return fmt.Errorf("stats: exact sketch counts %d zeros outside its values", zero)
+	}
+	return nil
+}
+
+// canonical reports whether x is a value Add keeps as it is: finite,
+// and not -0.
+func canonical(x float64) bool {
+	y, ok := normalize(x)
+	return ok && math.Float64bits(y) == math.Float64bits(x)
+}
+
+// checkValues rejects values and extremes no sequence of Adds produces:
+// an exact sketch's values must be canonical and its min and max its
+// first and last value (both +0 when it holds none); a bucketed
+// sketch's min and max must be canonical, in order, and fall in its
+// lowest and highest occupied bucket. Call after checkShape and
+// checkBuckets.
+func (k *KLL) checkValues() error {
+	if !k.bucketed {
+		for _, x := range k.xs {
+			if !canonical(x) {
+				return fmt.Errorf("stats: sketch value %v is not canonical", x)
+			}
+		}
+		lo, hi := 0.0, 0.0
+		if n := len(k.xs); n > 0 {
+			lo, hi = k.xs[0], k.xs[n-1]
+		}
+		if math.Float64bits(k.min) != math.Float64bits(lo) || math.Float64bits(k.max) != math.Float64bits(hi) {
+			return fmt.Errorf("stats: sketch extremes %v..%v disagree with its values %v..%v", k.min, k.max, lo, hi)
+		}
+		return nil
+	}
+	if !canonical(k.min) || !canonical(k.max) || k.min > k.max || !k.inLowest(k.min) || !k.inHighest(k.max) {
+		return fmt.Errorf("stats: sketch extremes %v..%v fall outside its lowest and highest buckets", k.min, k.max)
+	}
+	return nil
+}
+
+// inLowest reports whether v falls in the bucketed sketch's lowest
+// occupied bucket: the negative bucket of largest magnitude, else zero,
+// else the first positive bucket.
+func (k *KLL) inLowest(v float64) bool {
+	switch neg := k.b.neg; {
+	case len(neg) > 0:
+		return v < 0 && bucketIndex(-v) == neg[len(neg)-1].idx
+	case k.zero > 0:
+		return v == 0
+	default:
+		return v > 0 && bucketIndex(v) == k.b.pos[0].idx
+	}
+}
+
+// inHighest reports whether v falls in the bucketed sketch's highest
+// occupied bucket: the last positive bucket, else zero, else the
+// negative bucket of smallest magnitude.
+func (k *KLL) inHighest(v float64) bool {
+	switch pos := k.b.pos; {
+	case len(pos) > 0:
+		return v > 0 && bucketIndex(v) == pos[len(pos)-1].idx
+	case k.zero > 0:
+		return v == 0
+	default:
+		return v < 0 && bucketIndex(-v) == k.b.neg[0].idx
+	}
+}
+
 // checkBuckets validates decoded buckets: within each sign, indices
 // strictly ascending (no repeats) and counts positive; with zero, the
 // counts sum to count (checked as they run, so they cannot overflow).
@@ -743,6 +819,9 @@ func (k *KLL) UnmarshalJSON(buf []byte) error {
 	if err := checkShape(in.Bucketed, in.Count, len(in.Xs)); err != nil {
 		return err
 	}
+	if err := checkCounts(in.Bucketed, in.NaNs, in.Zero); err != nil {
+		return err
+	}
 	r := KLL{count: in.Count, nans: in.NaNs, min: in.Min, max: in.Max, bucketed: in.Bucketed, zero: in.Zero}
 	if !in.Bucketed {
 		if !sort.Float64sAreSorted(in.Xs) {
@@ -750,6 +829,9 @@ func (k *KLL) UnmarshalJSON(buf []byte) error {
 		}
 		if len(in.Xs) > 0 {
 			r.xs = in.Xs
+		}
+		if err := r.checkValues(); err != nil {
+			return err
 		}
 		*k = r
 		return nil
@@ -767,6 +849,9 @@ func (k *KLL) UnmarshalJSON(buf []byte) error {
 		}
 	}
 	if err := checkBuckets(r.count, r.zero, r.b.neg, r.b.pos); err != nil {
+		return err
+	}
+	if err := r.checkValues(); err != nil {
 		return err
 	}
 	*k = r
@@ -904,6 +989,12 @@ func (k *KLL) UnmarshalBinary(data []byte) error {
 	}
 	if rd.Len() != 0 {
 		return fmt.Errorf("stats: %d trailing bytes after sketch", rd.Len())
+	}
+	if err := checkCounts(r.bucketed, r.nans, r.zero); err != nil {
+		return err
+	}
+	if err := r.checkValues(); err != nil {
+		return err
 	}
 	*k = r
 	return nil

@@ -366,57 +366,101 @@ func BenchmarkKLLAddAll(b *testing.B) {
 
 // nonCanonicalKLLs are payloads both decoders must reject, in JSON
 // and binary form: a repeated or descending bucket index, a bucketed
-// flag that disagrees with count > kllCutover, and an exact sketch
-// holding more than kllCutover values.
+// flag that disagrees with count > kllCutover, an exact sketch holding
+// more than kllCutover values, negative NaN or zero counts, zeros
+// counted by an exact sketch, a -0 value, and extremes that disagree
+// with the values (an exact sketch's ends, a bucketed sketch's lowest
+// and highest buckets, an empty sketch's zeros).
 func nonCanonicalKLLs() []struct {
 	name    string
 	payload []byte
 } {
-	bin := func(bucketed bool, count int64, pos ...[2]int64) []byte {
-		b := binary.LittleEndian.AppendUint64(nil, uint64(count))
-		b = binary.LittleEndian.AppendUint64(b, 0) // nans
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
-		flags := byte(0)
-		if bucketed {
-			flags = 1
+	var cases []struct {
+		name    string
+		payload []byte
+	}
+	add := func(name string, payload []byte) {
+		cases = append(cases, struct {
+			name    string
+			payload []byte
+		}{name, payload})
+	}
+	// both adds a header in both wire forms; JSON cannot carry a
+	// nonfinite extreme, so such headers go in binary only.
+	both := func(name string, h kllJSON) {
+		if js, err := json.Marshal(h); err == nil {
+			add("json "+name, js)
 		}
-		b = append(append(kllMagic[:len(kllMagic):len(kllMagic)], flags), b...)
-		if !bucketed {
-			b = binary.LittleEndian.AppendUint32(b, uint32(count))
-			for i := int64(0); i < count; i++ {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
-			}
-			return b
-		}
-		b = binary.LittleEndian.AppendUint64(b, 0) // zero
-		b = binary.LittleEndian.AppendUint32(b, 0) // no negative buckets
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(pos)))
-		for _, p := range pos {
-			b = binary.LittleEndian.AppendUint32(b, uint32(p[0]))
-			b = binary.LittleEndian.AppendUint64(b, uint64(p[1]))
-		}
-		return b
+		add("binary "+name, kllBinary(h))
 	}
 	seventy := make([]float64, 70)
 	for i := range seventy {
 		seventy[i] = 1
 	}
 	xs, _ := json.Marshal(seventy)
-	return []struct {
-		name    string
-		payload []byte
-	}{
-		{"json repeated index, count 3", []byte(`{"v":1,"count":3,"min":1,"max":1,"bucketed":true,"pos":[[128,1],[128,2]]}`)},
-		{"json repeated index", []byte(`{"v":1,"count":70,"min":1,"max":1,"bucketed":true,"pos":[[128,30],[128,40]]}`)},
-		{"json descending index", []byte(`{"v":1,"count":70,"min":1,"max":1.01,"bucketed":true,"pos":[[129,30],[128,40]]}`)},
-		{"json bucketed at count 64", []byte(`{"v":1,"count":64,"min":1,"max":1,"bucketed":true,"pos":[[128,64]]}`)},
-		{"json bucketed at count 1", []byte(`{"v":1,"count":1,"min":1,"max":1,"bucketed":true,"pos":[[128,1]]}`)},
-		{"json exact with 70 values", []byte(`{"v":1,"count":70,"min":1,"max":1,"xs":` + string(xs) + `}`)},
-		{"binary repeated index", bin(true, 70, [2]int64{128, 30}, [2]int64{128, 40})},
-		{"binary descending index", bin(true, 70, [2]int64{129, 30}, [2]int64{128, 40})},
-		{"binary bucketed at count 64", bin(true, 64, [2]int64{128, 64})},
-		{"binary bucketed at count 1", bin(true, 1, [2]int64{128, 1})},
-		{"binary exact with 70 values", bin(false, 70)},
+	add("json repeated index, count 3", []byte(`{"v":1,"count":3,"min":1,"max":1,"bucketed":true,"pos":[[128,1],[128,2]]}`))
+	add("json repeated index", []byte(`{"v":1,"count":70,"min":1,"max":1,"bucketed":true,"pos":[[128,30],[128,40]]}`))
+	add("json descending index", []byte(`{"v":1,"count":70,"min":1,"max":1.01,"bucketed":true,"pos":[[129,30],[128,40]]}`))
+	add("json bucketed at count 64", []byte(`{"v":1,"count":64,"min":1,"max":1,"bucketed":true,"pos":[[128,64]]}`))
+	add("json bucketed at count 1", []byte(`{"v":1,"count":1,"min":1,"max":1,"bucketed":true,"pos":[[128,1]]}`))
+	add("json exact with 70 values", []byte(`{"v":1,"count":70,"min":1,"max":1,"xs":`+string(xs)+`}`))
+	add("binary repeated index", kllBinary(kllJSON{Bucketed: true, Count: 70, Min: 1, Max: 1, Pos: [][2]int64{{128, 30}, {128, 40}}}))
+	add("binary descending index", kllBinary(kllJSON{Bucketed: true, Count: 70, Min: 1, Max: 1, Pos: [][2]int64{{129, 30}, {128, 40}}}))
+	add("binary bucketed at count 64", kllBinary(kllJSON{Bucketed: true, Count: 64, Min: 1, Max: 1, Pos: [][2]int64{{128, 64}}}))
+	add("binary bucketed at count 1", kllBinary(kllJSON{Bucketed: true, Count: 1, Min: 1, Max: 1, Pos: [][2]int64{{128, 1}}}))
+	add("binary exact with 70 values", kllBinary(kllJSON{Count: 70, Min: 1, Max: 1, Xs: seventy}))
+
+	// Bucket 128 holds [1, 1+1/128); buckets 0 and 1 hold values of
+	// magnitude in [0.5, 0.5+1/512) and [0.5+1/512, 0.5+2/512).
+	v := kllVersion
+	both("negative zero count", kllJSON{V: v, Count: 65, Min: 1, Max: 1, Bucketed: true, Zero: -3, Pos: [][2]int64{{128, 68}}})
+	both("negative nans", kllJSON{V: v, Count: 1, NaNs: -1, Min: 1, Max: 1, Xs: []float64{1}})
+	both("negative nans, bucketed", kllJSON{V: v, Count: 65, NaNs: -2, Min: 1, Max: 1, Bucketed: true, Pos: [][2]int64{{128, 65}}})
+	// The binary form of an exact sketch has no zero count.
+	add("json zeros on an exact sketch", []byte(`{"v":1,"count":1,"min":1,"max":1,"xs":[1],"zero":4}`))
+	add("json zeros on an empty sketch", []byte(`{"v":1,"count":0,"nans":4,"min":0,"max":0,"zero":9}`))
+	both("-0 value", kllJSON{V: v, Count: 2, Min: math.Copysign(0, -1), Max: 1, Xs: []float64{math.Copysign(0, -1), 1}})
+	both("exact min above the first value", kllJSON{V: v, Count: 2, Min: 1.5, Max: 2, Xs: []float64{1, 2}})
+	both("exact max below the last value", kllJSON{V: v, Count: 2, Min: 1, Max: 1.5, Xs: []float64{1, 2}})
+	both("empty sketch with extremes", kllJSON{V: v, NaNs: 4, Min: 5, Max: -5})
+	both("bucketed min below the lowest bucket", kllJSON{V: v, Count: 65, Min: 0.5, Max: 1, Bucketed: true, Pos: [][2]int64{{128, 65}}})
+	both("bucketed max above the highest bucket", kllJSON{V: v, Count: 65, Min: 1, Max: 2, Bucketed: true, Pos: [][2]int64{{128, 65}}})
+	both("bucketed extremes out of order in one bucket", kllJSON{V: v, Count: 65, Min: 1.0078, Max: 1, Bucketed: true, Pos: [][2]int64{{128, 65}}})
+	both("bucketed max of the wrong sign", kllJSON{V: v, Count: 65, Min: -1, Max: 1, Bucketed: true, Neg: [][2]int64{{128, 65}}})
+	both("bucketed min not zero", kllJSON{V: v, Count: 66, Min: 0.5, Max: 1, Bucketed: true, Zero: 1, Pos: [][2]int64{{128, 65}}})
+	both("bucketed -0 min", kllJSON{V: v, Count: 66, Min: math.Copysign(0, -1), Max: 1, Bucketed: true, Zero: 1, Pos: [][2]int64{{128, 65}}})
+	both("bucketed infinite min", kllJSON{V: v, Count: 65, Min: math.Inf(-1), Max: 1, Bucketed: true, Pos: [][2]int64{{128, 65}}})
+	both("exact infinite value", kllJSON{V: v, Count: 1, Min: math.Inf(1), Max: math.Inf(1), Xs: []float64{math.Inf(1)}})
+	both("exact NaN extremes", kllJSON{V: v, Count: 1, Min: math.NaN(), Max: 1, Xs: []float64{1}})
+	return cases
+}
+
+// kllBinary writes h in MarshalBinary's layout, whatever it holds.
+func kllBinary(h kllJSON) []byte {
+	le := binary.LittleEndian
+	flags := byte(0)
+	if h.Bucketed {
+		flags = 1
 	}
+	b := append(append([]byte(nil), kllMagic[:]...), flags)
+	b = le.AppendUint64(b, uint64(h.Count))
+	b = le.AppendUint64(b, uint64(h.NaNs))
+	b = le.AppendUint64(b, math.Float64bits(h.Min))
+	b = le.AppendUint64(b, math.Float64bits(h.Max))
+	if !h.Bucketed {
+		b = le.AppendUint32(b, uint32(len(h.Xs)))
+		for _, x := range h.Xs {
+			b = le.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	b = le.AppendUint64(b, uint64(h.Zero))
+	for _, side := range [2][][2]int64{h.Neg, h.Pos} {
+		b = le.AppendUint32(b, uint32(len(side)))
+		for _, p := range side {
+			b = le.AppendUint32(b, uint32(p[0]))
+			b = le.AppendUint64(b, uint64(p[1]))
+		}
+	}
+	return b
 }
