@@ -3,9 +3,13 @@
 # parallel meta-dataset builder (internal/core/parallel.go), the forest
 # trainer, the serving-path packages (gateway proxy + monitor, whose
 # shadow tap, /metrics scrape and dashboard are hit concurrently in
-# production; the /predict_proba codec, whose pooled body and decode
-# buffers are shared by handler goroutines and the shadow worker), and
-# the telemetry registry/span tree plus the alert
+# production; the /predict_proba codec, whose pooled decode buffers are
+# shared by handler goroutines and the shadow worker; the
+# reference-counted request and response bodies, which a handler, the
+# backend transport's write loop and the shadow queue hold at once and
+# the last of them hands back to the pool — the early-response,
+# cross-talk and shared-Client tests run here, since none skips under
+# -short), and the telemetry registry/span tree plus the alert
 # engine, incident flight recorder and durable timeline store
 # (internal/obs/...), and the label-feedback store (internal/labels)
 # under the race detector in short mode.

@@ -15,6 +15,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"sync/atomic"
 
 	"blackboxval/internal/data"
 	"blackboxval/internal/frame"
@@ -149,10 +150,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := ReadBody(http.MaxBytesReader(w, r.Body, 256<<20))
 	if err != nil {
+		body.Release()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	req, err := readRequest(body)
+	// The decoded request shares no storage with the body.
+	req, err := readRequest(body.Bytes())
+	body.Release()
 	if err != nil {
 		http.Error(w, "invalid JSON: "+err.Error(), http.StatusBadRequest)
 		return
@@ -189,7 +193,9 @@ type Client struct {
 	// error-less data.Model path (nil = the standard logger).
 	Logger *log.Logger
 
-	numClasses int
+	// numClasses is the class count of the last response; the parallel
+	// meta-dataset builder calls one Client from several goroutines.
+	numClasses atomic.Int64
 }
 
 // NewClient returns a client for the service at baseURL.
@@ -259,17 +265,21 @@ func (c *Client) PredictCtx(ctx context.Context, ds *data.Dataset) (*linalg.Matr
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := ReadBody(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("cloud: service returned %s: %s", resp.Status, msg)
+		err := fmt.Errorf("cloud: service returned %s: %s", resp.Status, msg.Bytes())
+		msg.Release()
+		return nil, err
 	}
 	body, err := ReadBody(resp.Body)
 	if err != nil {
+		body.Release()
 		return nil, fmt.Errorf("cloud: reading response: %w", err)
 	}
-	out, numClasses, err := ParseProbaResponse(body)
+	out, numClasses, err := ParseProbaResponse(body.Bytes())
+	body.Release()
 	if err != nil {
 		return nil, err
 	}
-	c.numClasses = numClasses
+	c.numClasses.Store(int64(numClasses))
 	return out, nil
 }
 
@@ -461,4 +471,4 @@ func (r *RequestDecoder) release() {
 // NumClasses implements data.Model. It is learned from the first
 // response; call Predict once (e.g. via a health probe batch) before
 // relying on it.
-func (c *Client) NumClasses() int { return c.numClasses }
+func (c *Client) NumClasses() int { return int(c.numClasses.Load()) }

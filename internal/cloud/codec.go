@@ -33,9 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -983,49 +981,16 @@ func appendResponse(b []byte, proba *linalg.Matrix) ([]byte, error) {
 
 // --- bodies -----------------------------------------------------------
 
-// bufs recycles the byte buffers bodies are read into and encoded in.
+// bufs recycles the byte buffers bodies are encoded in.
 var bufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledBuf is the largest buffer returned to the pool; a bigger
-// body's buffer is left to the GC.
-const maxPooledBuf = 4 << 20
 
 func getBuf() *[]byte { return bufs.Get().(*[]byte) }
 
-// putBuf returns b, the buffer last taken from bp, to the pool.
+// putBuf returns b, the buffer last taken from bp, to the pool, unless
+// it outgrew the largest pooled body buffer.
 func putBuf(bp *[]byte, b []byte) {
-	if cap(b) <= maxPooledBuf {
+	if cap(b) <= maxBodyBuf {
 		*bp = b[:0]
 		bufs.Put(bp)
 	}
-}
-
-// ReadBody reads r to EOF and returns exactly the bytes read, in one
-// allocation of their size: the reads land in a pooled buffer that
-// grows only as bytes arrive (a declared Content-Length is never
-// trusted to size it), and the result is a copy the caller owns. Like
-// io.ReadAll it returns the bytes read so far with any error other
-// than io.EOF.
-func ReadBody(r io.Reader) ([]byte, error) {
-	bp := getBuf()
-	buf := *bp
-	var err error
-	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, max(512, cap(buf)))
-		}
-		var n int
-		n, err = r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err != nil {
-			break
-		}
-	}
-	if err == io.EOF {
-		err = nil
-	}
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	putBuf(bp, buf)
-	return out, err
 }

@@ -5,11 +5,13 @@ package gateway
 // (canned-response backend, real monitor shadow tap with the raw-row
 // decoder cmd/ppm-gateway wires — the same protocol as the serving
 // benchmark in internal/experiments) and fails when the per-request
-// allocation count blows past the budget. The budget is a flat 425
-// allocs/op, ~1.6x the measured 266: with no per-row term, a single
-// accidental per-row allocation anywhere on the path (request read,
-// relay, response parse, the tap's request decode) adds 899 allocs for
-// the 899-row fixture and fails the gate.
+// allocation count or bytes blow past the budget. The count budget is a
+// flat 425 allocs/op, ~1.6x the measured 263: with no per-row term, a
+// single accidental per-row allocation anywhere on the path (request
+// read, relay, response parse, the tap's request decode) adds 899
+// allocs for the 899-row fixture and fails the gate. The byte budget is
+// 100 KiB/op, ~1.5x the measured 69 KB: a copy of the 78 KB request
+// body, or of the response, fails it.
 //
 // allocs/op is process-wide: it includes the shadow worker's monitor
 // observations. The loop is closed and outruns the worker, so most
@@ -84,12 +86,21 @@ func TestServingAllocGate(t *testing.T) {
 
 	// Budget: flat, for the client, the gateway and the shadow tap
 	// combined (AllocsPerOp counts process-wide mallocs).
-	const limit = 425
-	t.Logf("serving hot path: %d allocs/op over %d rows (%.2f/row), %d B/op, %.3fms/op, gate %d allocs/op",
+	const (
+		limit     = 425
+		byteLimit = 100 << 10
+	)
+	t.Logf("serving hot path: %d allocs/op over %d rows (%.2f/row), %d B/op, %.3fms/op, gate %d allocs/op, %d B/op",
 		br.AllocsPerOp(), rows, float64(br.AllocsPerOp())/float64(rows),
-		br.AllocedBytesPerOp(), float64(br.NsPerOp())/1e6, limit)
+		br.AllocedBytesPerOp(), float64(br.NsPerOp())/1e6, limit, byteLimit)
 	if br.AllocsPerOp() > limit {
 		t.Fatalf("serving hot path allocates %d allocs/op for a %d-row batch, over the %d gate — a per-row allocation crept onto the request path",
 			br.AllocsPerOp(), rows, limit)
+	}
+	// The race detector makes sync.Pool drop items, so pooled body
+	// buffers are allocated again: bytes/op means nothing under it.
+	if br.AllocedBytesPerOp() > byteLimit && !raceEnabled {
+		t.Fatalf("serving hot path allocates %d B/op for a %d-byte body, over the %d gate — a body copy crept onto the request path",
+			br.AllocedBytesPerOp(), len(body), byteLimit)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,7 +51,11 @@ type Config struct {
 	// store must be registered as a batch observer on the same Monitor.
 	Labels *labels.Store
 	// HTTPClient overrides the client used to reach the backend
-	// (default: the gateway's own, see relayClient).
+	// (default: the gateway's own, see relayClient). Its transport must
+	// report httptrace GotConn and WroteRequest for every request write
+	// it starts, as the standard HTTP/1 and HTTP/2 transports do: the
+	// gateway holds the request body's pooled buffer between the two
+	// (see attempt).
 	HTTPClient *http.Client
 	// RequestTimeout bounds each backend attempt (default 10s).
 	RequestTimeout time.Duration
@@ -337,6 +342,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	decodeStart := time.Now()
 	body, err := cloud.ReadBody(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	defer body.Release()
 	g.slo.observeStage(StageDecode, time.Since(decodeStart).Seconds(), id)
 	if err != nil {
 		status = http.StatusBadRequest
@@ -365,6 +371,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("backend unavailable: %v", err), status)
 		return
 	}
+	defer resp.body.Release()
 	g.breaker.Success()
 
 	// Relay the backend response bit-identically: headers, status, body.
@@ -380,7 +387,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	status = resp.status
 	w.WriteHeader(resp.status)
-	w.Write(resp.body)
+	w.Write(resp.body.Bytes())
 
 	outcome = outcomeOK
 	switch {
@@ -392,8 +399,9 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		// Tap the successful batch for shadow validation, off the hot
 		// path; the id and the trace context ride along into the monitor
 		// observation, and the request body too when raw capture is on.
+		// The queue takes its own references to the bodies.
 		enqueueStart := time.Now()
-		g.shadow.EnqueueWithTrace(body, resp.body, id, span.TraceContext())
+		g.shadow.Enqueue(body, resp.body, id, span.TraceContext())
 		g.slo.observeStage(StageShadowEnqueue, time.Since(enqueueStart).Seconds(), id)
 	}
 }
@@ -415,11 +423,13 @@ func (g *Gateway) extractTrace(r *http.Request) (obs.TraceContext, bool) {
 	return tc, true
 }
 
-// backendResponse is a fully buffered backend reply.
+// backendResponse is a fully buffered backend reply. Its header is the
+// backend response's own map, which nothing else writes once Do has
+// returned; the caller releases body.
 type backendResponse struct {
 	status int
 	header http.Header
-	body   []byte
+	body   *cloud.Body
 }
 
 // transientStatus reports backend statuses worth retrying: the backend
@@ -433,8 +443,8 @@ func transientStatus(code int) bool {
 // errors and 502/503/504 statuses). It returns the first non-transient
 // response, or the last failure once the retry budget is exhausted —
 // a persistent transient failure surfaces as an error so the breaker
-// counts it.
-func (g *Gateway) forward(ctx context.Context, body []byte, id string) (*backendResponse, error) {
+// counts it. The caller holds a reference to body for the call.
+func (g *Gateway) forward(ctx context.Context, body *cloud.Body, id string) (*backendResponse, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		resp, err := g.attempt(ctx, body, id)
@@ -447,6 +457,7 @@ func (g *Gateway) forward(ctx context.Context, body []byte, id string) (*backend
 				return nil, err
 			}
 		case transientStatus(resp.status):
+			resp.body.Release()
 			lastErr = fmt.Errorf("backend returned transient status %d", resp.status)
 			reason = "upstream_transient"
 		default:
@@ -462,7 +473,17 @@ func (g *Gateway) forward(ctx context.Context, body []byte, id string) (*backend
 	}
 }
 
-func (g *Gateway) attempt(ctx context.Context, body []byte, id string) (*backendResponse, error) {
+// attempt makes one try. The transport may still be writing the request
+// body after Do returns: persistConn.roundTrip returns as soon as the
+// response arrives, while its writeLoop can be sending the rest of a
+// body the backend never read. So each connection the try gets holds a
+// reference to body from GotConn until WroteRequest, which the
+// standard HTTP/1 and HTTP/2 transports report for every write they
+// start. A try whose write never starts keeps its reference, and the
+// buffer goes to the GC instead of the pool. The body stays a
+// bytes.Reader so that the transport knows its length and can rewind
+// it, and writes it from the connection's own buffer.
+func (g *Gateway) attempt(ctx context.Context, body *cloud.Body, id string) (*backendResponse, error) {
 	// Propagate trace context across the hop: sampled requests get a
 	// relay child span (the parent the backend's spans attach to);
 	// unsampled ones skip the span but still carry the traceparent so
@@ -477,7 +498,11 @@ func (g *Gateway) attempt(ctx context.Context, body []byte, id string) (*backend
 	}
 	attemptCtx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, g.cfg.Backend+"/predict_proba", bytes.NewReader(body))
+	attemptCtx = httptrace.WithClientTrace(attemptCtx, &httptrace.ClientTrace{
+		GotConn:      func(httptrace.GotConnInfo) { body.Retain() },
+		WroteRequest: func(httptrace.WroteRequestInfo) { body.Release() },
+	})
+	req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, g.cfg.Backend+"/predict_proba", bytes.NewReader(body.Bytes()))
 	if err != nil {
 		return nil, fmt.Errorf("building backend request: %w", err)
 	}
@@ -493,9 +518,10 @@ func (g *Gateway) attempt(ctx context.Context, body []byte, id string) (*backend
 	defer resp.Body.Close()
 	respBody, err := cloud.ReadBody(resp.Body)
 	if err != nil {
+		respBody.Release()
 		return nil, fmt.Errorf("reading backend response: %w", err)
 	}
-	return &backendResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: respBody}, nil
+	return &backendResponse{status: resp.StatusCode, header: resp.Header, body: respBody}, nil
 }
 
 // backoff returns the delay before the given (1-based) retry attempt:

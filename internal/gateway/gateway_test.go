@@ -20,6 +20,7 @@ import (
 	"blackboxval/internal/errorgen"
 	"blackboxval/internal/models"
 	"blackboxval/internal/monitor"
+	"blackboxval/internal/obs"
 )
 
 // fixture trains one small black box + predictor + validator shared by
@@ -418,9 +419,11 @@ func TestShadowQueueDropsOldest(t *testing.T) {
 		done:    make(chan struct{}),
 		metrics: newMetrics(),
 	}
-	tap.Enqueue([]byte("a"), "id-a")
-	tap.Enqueue([]byte("b"), "id-b")
-	tap.Enqueue([]byte("c"), "id-c")
+	for _, id := range []string{"a", "b", "c"} {
+		body := pooled(t, []byte(id))
+		tap.Enqueue(nil, body, "id-"+id, obs.TraceContext{})
+		body.Release()
+	}
 	if tap.Depth() != 2 {
 		t.Fatalf("depth = %d, want 2", tap.Depth())
 	}
@@ -429,9 +432,11 @@ func TestShadowQueueDropsOldest(t *testing.T) {
 	}
 	first, _ := tap.pop()
 	second, _ := tap.pop()
-	if string(first.body) != "b" || string(second.body) != "c" {
-		t.Fatalf("queue kept %q,%q — oldest should have been evicted", first.body, second.body)
+	if string(first.body.Bytes()) != "b" || string(second.body.Bytes()) != "c" {
+		t.Fatalf("queue kept %q,%q — oldest should have been evicted", first.body.Bytes(), second.body.Bytes())
 	}
+	first.release()
+	second.release()
 	if first.requestID != "id-b" || second.requestID != "id-c" {
 		t.Fatalf("request ids did not ride along: %q,%q", first.requestID, second.requestID)
 	}

@@ -15,12 +15,14 @@ import (
 // body of n bytes to an in-process backend that discards it.
 func relayBytes(t *testing.T, g *Gateway, n int) float64 {
 	t.Helper()
-	body := bytes.Repeat([]byte{'x'}, n)
+	body := pooled(t, bytes.Repeat([]byte{'x'}, n))
+	defer body.Release()
 	forward := func() {
 		resp, err := g.forward(context.Background(), body, "relay-test")
 		if err != nil || resp.status != http.StatusOK {
 			t.Fatalf("forward: %v", err)
 		}
+		resp.body.Release()
 	}
 	for i := 0; i < 20; i++ { // connection and pools warm
 		forward()
@@ -42,8 +44,8 @@ func relayBytes(t *testing.T, g *Gateway, n int) float64 {
 // buffer, the bytes past it go through a fresh copy buffer of up to
 // 32 KiB per request.
 func TestRelayAllocatesNoCopyBuffer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement")
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation is measured in full runs without the race detector")
 	}
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)

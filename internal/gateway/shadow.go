@@ -18,18 +18,19 @@ import (
 // off the hot path. A bounded queue decouples serving latency from
 // shadow-validation cost; under pressure the tap drops the OLDEST
 // queued batch — recency matters more than completeness for drift
-// detection, and traffic must never block on validation. Its one
-// worker goroutine decodes every batch into storage the tap keeps from
-// one batch to the next (the response matrix, the raw decoder's
-// columns), which the monitor borrows for the length of one
-// observation.
+// detection, and traffic must never block on validation. Each queued
+// batch holds a reference to the pooled bodies it carries, released
+// once the batch is observed or evicted. Its one worker goroutine
+// decodes every batch into storage the tap keeps from one batch to the
+// next (the response matrix, the raw decoder's columns), which the
+// monitor borrows for the length of one observation.
 type shadowTap struct {
 	mon     *monitor.Monitor
 	logger  *log.Logger
 	metrics *Metrics
 
 	mu    sync.Mutex
-	queue []shadowItem // bounded FIFO of raw /predict_proba response bodies
+	queue []shadowItem // bounded FIFO of tapped exchanges
 	cap   int
 	wake  chan struct{} // 1-buffered worker doorbell
 	done  chan struct{}
@@ -84,41 +85,48 @@ func newShadowTap(mon *monitor.Monitor, capacity int, logger *log.Logger, metric
 // the correlation id and trace context of the serving request, so the
 // asynchronous monitor observation still lands in the request's trace.
 type shadowItem struct {
-	reqBody   []byte
-	body      []byte
+	reqBody   *cloud.Body // nil without raw capture
+	body      *cloud.Body
 	requestID string
 	trace     obs.TraceContext
 }
 
-// Enqueue hands one raw response body and its request id to the tap. It
-// never blocks: when the queue is full the oldest pending batch is
-// evicted.
-func (t *shadowTap) Enqueue(body []byte, requestID string) {
-	t.EnqueueWithRequest(nil, body, requestID)
+// release drops the item's references to its bodies.
+func (it shadowItem) release() {
+	if it.reqBody != nil {
+		it.reqBody.Release()
+	}
+	it.body.Release()
 }
 
-// EnqueueWithRequest is Enqueue carrying the request body as well, for
-// raw-row capture. The request body is dropped at the door when no
-// decoder is configured.
-func (t *shadowTap) EnqueueWithRequest(reqBody, body []byte, requestID string) {
-	t.EnqueueWithTrace(reqBody, body, requestID, obs.TraceContext{})
-}
-
-// EnqueueWithTrace is EnqueueWithRequest carrying the serving request's
-// trace context (the gateway_request span's coordinates): the queued
-// observation becomes a child span of the request even though it runs
-// on the shadow worker after the response was already sent.
-func (t *shadowTap) EnqueueWithTrace(reqBody, body []byte, requestID string, tc obs.TraceContext) {
+// Enqueue hands one exchange to the tap: the response body, the request
+// body (kept only for raw capture), the request id, and the serving
+// request's trace context (the gateway_request span's coordinates), so
+// the queued observation becomes a child span of the request even
+// though it runs on the shadow worker after the response was sent. The
+// queue takes its own references to the bodies it keeps; the caller
+// keeps its own. It never blocks: when the queue is full the oldest
+// pending batch is evicted.
+func (t *shadowTap) Enqueue(reqBody, body *cloud.Body, requestID string, tc obs.TraceContext) {
 	if t.raw == nil {
 		reqBody = nil
 	}
+	if reqBody != nil {
+		reqBody.Retain()
+	}
+	body.Retain()
 	t.mu.Lock()
+	var evicted shadowItem
 	if len(t.queue) >= t.cap {
+		evicted = t.queue[0]
 		t.queue = t.queue[1:]
 		t.metrics.shadowDropped.Add(1, "dropped")
 	}
 	t.queue = append(t.queue, shadowItem{reqBody: reqBody, body: body, requestID: requestID, trace: tc})
 	t.mu.Unlock()
+	if evicted.body != nil {
+		evicted.release()
+	}
 	select {
 	case t.wake <- struct{}{}:
 	default:
@@ -147,6 +155,7 @@ func (t *shadowTap) run() {
 		item, ok := t.pop()
 		if ok {
 			t.observe(item)
+			item.release()
 			continue
 		}
 		select {
@@ -160,6 +169,7 @@ func (t *shadowTap) run() {
 					return
 				}
 				t.observe(item)
+				item.release()
 			}
 		}
 	}
@@ -177,7 +187,8 @@ func (t *shadowTap) pop() (shadowItem, bool) {
 }
 
 // observe decodes one queued batch into the tap's storage and feeds it
-// to the monitor, which borrows it for the call.
+// to the monitor, which borrows it for the call. The caller releases
+// the item's bodies afterwards.
 func (t *shadowTap) observe(item shadowItem) {
 	defer func() {
 		if cap(t.proba.Data) > maxKeptProba {
@@ -185,7 +196,7 @@ func (t *shadowTap) observe(item shadowItem) {
 		}
 	}()
 	proba := &t.proba
-	if _, err := cloud.ParseProbaResponseInto(proba, item.body); err != nil || proba.Rows == 0 {
+	if _, err := cloud.ParseProbaResponseInto(proba, item.body.Bytes()); err != nil || proba.Rows == 0 {
 		t.metrics.shadowDropped.Add(1, "undecodable")
 		if err != nil && t.logger != nil {
 			t.logger.Printf("gateway: shadow tap cannot decode backend response: %v", err)
@@ -194,7 +205,7 @@ func (t *shadowTap) observe(item shadowItem) {
 	}
 	var batch *data.Dataset
 	if t.raw != nil && item.reqBody != nil {
-		ds, err := t.raw.Decode(item.reqBody)
+		ds, err := t.raw.Decode(item.reqBody.Bytes())
 		if err != nil {
 			// Attribution degrades gracefully: observe the outputs anyway.
 			t.metrics.shadowDropped.Add(1, "raw_undecodable")

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -45,6 +46,23 @@ func tapBatches(t *testing.T, f fixture, sets []*data.Dataset) []tapBatch {
 		out[i] = tapBatch{req: body, resp: rec.Body.Bytes(), truth: append([]int(nil), ds.Labels...)}
 	}
 	return out
+}
+
+// item reads a tapped exchange into pooled bodies, as the gateway's
+// handler does; the caller releases it.
+func (b tapBatch) item(t *testing.T, requestID string) shadowItem {
+	t.Helper()
+	return shadowItem{reqBody: pooled(t, b.req), body: pooled(t, b.resp), requestID: requestID}
+}
+
+// pooled reads p into a pooled body holding one reference.
+func pooled(t *testing.T, p []byte) *cloud.Body {
+	t.Helper()
+	body, err := cloud.ReadBody(bytes.NewReader(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // newTestTap returns a tap with raw capture on; tests call observe on
@@ -92,13 +110,15 @@ func TestShadowObserveAllocGuard(t *testing.T) {
 	sets := []*data.Dataset{f.serving.Sample(200, rng), f.serving}
 	batches := tapBatches(t, f, sets)
 	const (
-		maxAllocs = 100 // per observed batch
-		maxSlope  = 24  // bytes per row
+		maxAllocs = 94 // per observed batch
+		maxSlope  = 24 // bytes per row
 	)
 	var allocs, bytes [2]float64
 	for i, b := range batches {
 		tap := newTestTap(t, f, newMonitor(t, f))
-		allocs[i], bytes[i] = observeCost(tap, shadowItem{reqBody: b.req, body: b.resp, requestID: "guard"}, 40)
+		item := b.item(t, "guard")
+		allocs[i], bytes[i] = observeCost(tap, item, 40)
+		item.release()
 	}
 	rows := [2]int{sets[0].Len(), sets[1].Len()}
 	slope := (bytes[1] - bytes[0]) / float64(rows[1]-rows[0])
@@ -187,7 +207,9 @@ func TestShadowTapReuseMatchesFreshDecode(t *testing.T) {
 	ids := make([]string, len(batches))
 	for i, b := range batches {
 		ids[i] = fmt.Sprintf("reuse-%02d", i)
-		tap.observe(shadowItem{reqBody: b.req, body: b.resp, requestID: ids[i]})
+		item := b.item(t, ids[i])
+		tap.observe(item)
+		item.release()
 
 		ds, err := cloud.DecodeRequest(b.req, f.serving.Classes)
 		if err != nil {

@@ -11,6 +11,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -146,6 +147,9 @@ type Monitor struct {
 	refCols     [][]float64
 	refP50      []float64
 	refSketches map[string]*stats.KLL
+	// series names the per-class timeline series, built once for the
+	// reference's class count.
+	series []classSeries
 
 	mu        sync.Mutex
 	seq       int
@@ -189,11 +193,13 @@ func New(cfg Config) (*Monitor, error) {
 		m.refCols = core.SortedColumns(ref)
 		m.refP50 = make([]float64, ref.Cols)
 		m.refSketches = make(map[string]*stats.KLL, ref.Cols)
+		m.series = make([]classSeries, ref.Cols)
 		for c := 0; c < ref.Cols; c++ {
+			m.series[c] = newClassSeries(c)
 			m.refP50[c] = stats.PercentileSorted(m.refCols[c], 50)
 			sk := stats.NewKLL()
 			sk.AddAll(m.refCols[c]) // the sketch is a function of the multiset
-			m.refSketches[probaSeries(c)] = sk
+			m.refSketches[m.series[c].proba] = sk
 		}
 	}
 	return m, nil
@@ -396,24 +402,38 @@ func (m *Monitor) feedTimeline(rec *Record, proba *linalg.Matrix, s *observeScra
 	m.timeline.Record("batch_size", float64(rec.Size))
 	if rec.KS != nil {
 		m.timeline.Record("ks_max", rec.KSMax)
-		for c := range rec.KS {
-			m.timeline.Record(fmt.Sprintf("ks_class_%d", c), rec.KS[c])
-			m.timeline.Record(fmt.Sprintf("p50_shift_class_%d", c), rec.P50Shift[c])
+		for c := range rec.KS { // drift ran, so the classes are the reference's
+			m.timeline.Record(m.series[c].ks, rec.KS[c])
+			m.timeline.Record(m.series[c].shift, rec.P50Shift[c])
 		}
 	}
 	if proba != nil {
 		for c := 0; c < proba.Cols; c++ {
 			s.col = proba.AppendCol(s.col[:0], c)
-			m.timeline.RecordAll(probaSeries(c), s.col)
+			m.timeline.RecordAll(m.seriesOf(c).proba, s.col)
 		}
 	}
 	m.timeline.Commit()
 }
 
-// probaSeries names the timeline series carrying the model's output
-// distribution for one class.
-func probaSeries(class int) string {
-	return fmt.Sprintf("proba_class_%d", class)
+// classSeries holds the names of one class's timeline series: its KS
+// distance and median shift against the reference, and proba_class_<c>,
+// the model's output distribution for the class.
+type classSeries struct{ ks, shift, proba string }
+
+func newClassSeries(class int) classSeries {
+	c := strconv.Itoa(class)
+	return classSeries{ks: "ks_class_" + c, shift: "p50_shift_class_" + c, proba: "proba_class_" + c}
+}
+
+// seriesOf returns the series names of a class, built at New for the
+// reference's classes; a batch with more classes than the reference
+// names the rest on each call.
+func (m *Monitor) seriesOf(class int) classSeries {
+	if class < len(m.series) {
+		return m.series[class]
+	}
+	return newClassSeries(class)
 }
 
 func boolSeries(b bool) float64 {

@@ -110,10 +110,10 @@ func TestObserveRecordsMatchPerCallFormulas(t *testing.T) {
 					rows, last = rows+1, v
 				}
 			}
-			agg := w.Series[probaSeries(c)]
+			agg := w.Series[newClassSeries(c).proba]
 			if agg.Count != rows || !sameFloat(agg.Last, last) {
 				t.Fatalf("batch %d: %s count %d last %v, want %d rows ending in %v (row order)",
-					i, probaSeries(c), agg.Count, agg.Last, rows, last)
+					i, newClassSeries(c).proba, agg.Count, agg.Last, rows, last)
 			}
 		}
 	}
